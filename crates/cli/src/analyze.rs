@@ -14,25 +14,8 @@ use std::io::Write;
 use asynoc_analysis::Analysis;
 use asynoc_telemetry::{parse_trace, parse_trace_lenient};
 
+use crate::args::Command;
 use crate::commands::CliError;
-
-/// A fully-resolved `analyze` invocation.
-pub struct AnalyzeRequest {
-    /// The NDJSON trace to ingest.
-    pub trace_in: String,
-    /// JSON report destination (`None` = the command's output stream).
-    pub report_out: Option<String>,
-    /// Bound on the ranked lists in the report.
-    pub top: usize,
-    /// Print the textual congestion heatmaps.
-    pub heatmap: bool,
-    /// Skip malformed lines (counted in the report) instead of failing.
-    pub lenient: bool,
-    /// Self-profile destination. Analysis runs no simulation, so the
-    /// document has an empty `runs` array — only the pass's wall clock
-    /// and allocation count.
-    pub profile: Option<String>,
-}
 
 /// Executes an `analyze` command.
 ///
@@ -40,40 +23,53 @@ pub struct AnalyzeRequest {
 ///
 /// Returns a [`CliError`] on I/O failure or (without `--lenient`) on the
 /// first malformed trace line.
-pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let profiler = crate::profile::ProfileWriter::when(request.profile.as_ref(), "analyze");
-    let text = std::fs::read_to_string(&request.trace_in)?;
-    let (meta, records, skipped) = if request.lenient {
+pub(crate) fn execute_analyze(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
+    let Command::Analyze {
+        trace_in,
+        report_out,
+        top,
+        heatmap,
+        lenient,
+        profile,
+    } = command
+    else {
+        unreachable!("dispatched on Command::Analyze");
+    };
+    // Analysis runs no simulation, so a `--profile` document has an
+    // empty `runs` array: only the pass's wall clock and allocations.
+    let profiler = crate::profile::ProfileWriter::when(profile.as_ref(), "analyze");
+    let text = std::fs::read_to_string(trace_in)?;
+    let (meta, records, skipped) = if *lenient {
         let (meta, records, errors) = parse_trace_lenient(&text);
         (meta, records, errors.len() as u64)
     } else {
-        let (meta, records) = parse_trace(&text)
-            .map_err(|e| CliError::Invalid(format!("{}: {e}", request.trace_in)))?;
+        let (meta, records) =
+            parse_trace(&text).map_err(|e| CliError::Invalid(format!("{}: {e}", trace_in)))?;
         (meta, records, 0)
     };
     if records.is_empty() {
         return Err(CliError::Invalid(format!(
             "{}: no trace records to analyze",
-            request.trace_in
+            trace_in
         )));
     }
 
-    let analysis = Analysis::build(meta, records, request.top);
+    let analysis = Analysis::build(meta, records, *top);
     let rendered = analysis.to_json(skipped).render_pretty();
-    match &request.report_out {
+    match report_out {
         Some(path) => {
             std::fs::write(path, &rendered)?;
             writeln!(out, "analysis report written to {path}")?;
             if skipped > 0 {
                 writeln!(out, "skipped {skipped} malformed trace lines")?;
             }
-            if request.heatmap {
+            if *heatmap {
                 write!(out, "{}", analysis.heatmap_text())?;
             }
         }
         // Bare stdout stays a single parseable document: JSON by
         // default, the heatmap block when that's what was asked for.
-        None if request.heatmap => write!(out, "{}", analysis.heatmap_text())?,
+        None if *heatmap => write!(out, "{}", analysis.heatmap_text())?,
         None => out.write_all(rendered.as_bytes())?,
     }
     if let Some(profiler) = profiler {
@@ -86,16 +82,9 @@ pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<
 mod tests {
     use crate::args::parse;
     use crate::commands::execute;
+    use crate::commands::run_cli;
     use asynoc_analysis::ANALYSIS_SCHEMA;
     use asynoc_telemetry::JsonValue;
-
-    fn run_cli(line: &str) -> String {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let command = parse(&args).expect("valid invocation");
-        let mut out = Vec::new();
-        execute(&command, &mut out).expect("command succeeds");
-        String::from_utf8(out).expect("utf8 output")
-    }
 
     fn temp_path(name: &str) -> String {
         let mut path = std::env::temp_dir();

@@ -8,16 +8,17 @@ use asynoc::explore::Granularity;
 use asynoc::{Architecture, Benchmark};
 use asynoc_vcmesh::McastScheme;
 
-/// The usage text printed by `asynoc help` and on parse errors.
+/// The usage text printed by `asynoc help` (parse errors print one
+/// `error:` line and point here).
 pub const USAGE: &str = "\
 asynoc — asynchronous Mesh-of-Trees NoC simulator (DAC'16 local-speculation multicast)
 
 USAGE:
-  asynoc run      (--arch <A> | --spec-map <M>) --benchmark <B> --rate <flits/ns>
+  asynoc run      --benchmark <B> --rate <flits/ns> [--arch <A> | --spec-map <M>]
+                  [--substrate mot|mesh|vcmesh] [--mcast xy-tree|dpm]
                   [--seeds <K>] [common options]
   asynoc saturate --arch <A> --benchmark <B> [--quick] [--probe-fan <K>] [common options]
   asynoc sweep    --arch <A> --benchmark <B> --from <R0> --to <R1> --steps <K> [common options]
-  asynoc mesh     --benchmark <B> --rate <flits/ns> [--cols <C>] [--rows <R>] [common options]
   asynoc metrics  --benchmark <B> --rate <flits/ns> [--arch <A> | --spec-map <M>]
                   [--substrate mot|mesh|vcmesh] [--mcast xy-tree|dpm]
                   [--metrics-out <path>] [--trace-format ndjson|chrome] [--trace-out <path>]
@@ -36,7 +37,8 @@ USAGE:
   asynoc help
 
 COMMON OPTIONS:
-  --size <N>        network size (power of two, 2..=64; default 8)
+  --size <N>        network size: endpoints per side (mot: power of two,
+                    2..=64; mesh, vcmesh: an N x N mesh; default 8)
   --seed <S>        RNG seed (default 42)
   --flits <F>       flits per packet (default 5)
   --warmup-ns <W>   warmup window in ns (default: paper standard)
@@ -60,7 +62,7 @@ COMMON OPTIONS:
                     ASYNOC_PROGRESS_FORCE=1 to override). Never changes
                     simulation results
 
-STREAMING OPTIONS (run, mesh, metrics, faults):
+STREAMING OPTIONS (run, metrics, faults):
   --stream <path|->       append asynoc-stream-v1 NDJSON telemetry to
                           <path> (`-` = stdout) while the run executes:
                           a head record, one window record per flushed
@@ -100,19 +102,22 @@ SPECULATION MAPS (run, metrics, faults — mot substrate only):
                     network cannot throttle), and the serial baseline kind
                     cannot be mixed with parallel-multicast kinds.
 
-  run:      --seeds <K> replicates the run over seeds S, S+1, … S+K−1
-            (fanned across --jobs workers) and reports per-seed results
-            plus mean ± sample std dev.
+  run:      one run with a text report. --substrate picks the fabric:
+            mot (default; --arch or --spec-map required), mesh (the 2D
+            comparison mesh, --size N x N), or vcmesh (credit-based VC
+            mesh, --mcast picks its multicast scheme). --seeds <K>
+            replicates a mot run over seeds S, S+1, … S+K−1 (fanned
+            across --jobs workers) and reports per-seed results plus
+            mean ± sample std dev.
   saturate: --probe-fan <K> probes K rates per search round (k-section;
             deterministic, but K changes which rates are probed)
   metrics:  one instrumented run emitting a JSON report (latency
             percentiles, time-series, speculation-waste ledger, power).
-            --arch is required on the mot substrate; the vcmesh substrate
-            (credit-based VC mesh with in-network multicast) takes
-            --mcast to pick its multicast scheme (xy-tree default, dpm =
-            Dynamic Partition Merging); --trace-out exports
-            the flit trace (ndjson default, chrome is Perfetto-loadable);
-            --bin-ns sets the time-series bin width (default 100)
+            --substrate as for run; --mcast picks the vcmesh multicast
+            scheme (xy-tree default, dpm = Dynamic Partition Merging);
+            --trace-out exports the flit trace (ndjson default, chrome
+            is Perfetto-loadable); --bin-ns sets the time-series bin
+            width (default 100)
   analyze:  offline causal analysis over an NDJSON flit trace (from
             metrics --trace-out): per-packet critical paths, blocked-time
             attribution, congestion heatmaps, speculation scorecard.
@@ -164,15 +169,22 @@ BENCHMARKS:
 pub enum Command {
     /// One measurement run.
     Run {
-        /// Network architecture preset (exactly one of `arch`/`spec_map`).
+        /// Network architecture preset (MoT substrate only; exactly one
+        /// of `arch`/`spec_map` there, neither on the mesh substrates).
         arch: Option<Architecture>,
-        /// Explicit speculation placement (text form or `@path` JSON).
+        /// Explicit speculation placement (text form or `@path` JSON;
+        /// MoT substrate only).
         spec_map: Option<String>,
         /// Traffic benchmark.
         benchmark: Benchmark,
         /// Offered load, flits/ns per source.
         rate: f64,
-        /// Number of consecutive seeds to replicate over (≥ 1).
+        /// Which fabric to simulate.
+        substrate: Substrate,
+        /// Multicast scheme on the vcmesh substrate (unused elsewhere).
+        mcast: McastScheme,
+        /// Number of consecutive seeds to replicate over (≥ 1; MoT
+        /// substrate only).
         seeds: usize,
         /// Shared options.
         common: CommonOptions,
@@ -203,19 +215,6 @@ pub enum Command {
         /// Number of points (≥ 2).
         steps: usize,
         /// Shared options.
-        common: CommonOptions,
-    },
-    /// One measurement run on the 2D-mesh comparison fabric.
-    Mesh {
-        /// Traffic benchmark.
-        benchmark: Benchmark,
-        /// Offered load, flits/ns per endpoint.
-        rate: f64,
-        /// Mesh columns.
-        cols: usize,
-        /// Mesh rows.
-        rows: usize,
-        /// Shared options (size is ignored; cols x rows defines the mesh).
         common: CommonOptions,
     },
     /// One instrumented run emitting the JSON metrics report.
@@ -340,7 +339,7 @@ pub enum Command {
     Help,
 }
 
-/// Which simulator fabric `asynoc metrics` instruments.
+/// Which simulator fabric `run`, `metrics` and `faults` simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Substrate {
     /// The paper's Mesh-of-Trees network.
@@ -541,6 +540,9 @@ fn common_options(flags: &BTreeMap<String, String>) -> Result<CommonOptions, Par
     }
     if let Some(raw) = flags.get("flits") {
         options.flits = parse_value("flits", raw)?;
+        if options.flits == 0 {
+            return Err(ParseCliError::new("--flits must be at least 1"));
+        }
     }
     if let Some(raw) = flags.get("warmup-ns") {
         options.warmup_ns = Some(parse_value("warmup-ns", raw)?);
@@ -597,43 +599,12 @@ const COMMON_KEYS: [&str; 9] = [
 ];
 
 /// The streaming-telemetry flags, accepted by the single-run commands
-/// (`run`, `mesh`, `metrics`, `faults`) but not the multi-run searches.
+/// (`run`, `metrics`, `faults`) but not the multi-run searches.
 const STREAM_KEYS: [&str; 4] = ["stream", "stream-window-ns", "stream-trace", "watch-fatal"];
 
-fn with_common(extra: &[&str]) -> Vec<&'static str> {
-    // Leaking tiny strings once per parse is fine for a CLI; avoid by
-    // matching statically instead.
+fn with_common(extra: &[&'static str]) -> Vec<&'static str> {
     let mut keys: Vec<&'static str> = COMMON_KEYS.to_vec();
-    for &key in extra {
-        keys.push(match key {
-            "arch" => "arch",
-            "spec-map" => "spec-map",
-            "benchmark" => "benchmark",
-            "rate" => "rate",
-            "quick" => "quick",
-            "from" => "from",
-            "to" => "to",
-            "steps" => "steps",
-            "seeds" => "seeds",
-            "probe-fan" => "probe-fan",
-            "substrate" => "substrate",
-            "mcast" => "mcast",
-            "metrics-out" => "metrics-out",
-            "trace-format" => "trace-format",
-            "trace-out" => "trace-out",
-            "trace-limit" => "trace-limit",
-            "bin-ns" => "bin-ns",
-            "plan" => "plan",
-            "fault-rate" => "fault-rate",
-            "oracle" => "oracle",
-            "report-out" => "report-out",
-            "stream" => "stream",
-            "stream-window-ns" => "stream-window-ns",
-            "stream-trace" => "stream-trace",
-            "watch-fatal" => "watch-fatal",
-            other => unreachable!("unknown static key {other}"),
-        });
-    }
+    keys.extend_from_slice(extra);
     keys
 }
 
@@ -664,9 +635,9 @@ fn placement_options(
     Ok((arch, spec_map))
 }
 
-/// Resolves the substrate-selection options shared by `metrics` and
-/// `faults`: the substrate itself, the multicast scheme (vcmesh-only),
-/// and the placement (mot-only, but required there).
+/// Resolves the substrate-selection options shared by `run`, `metrics`
+/// and `faults`: the substrate itself, the multicast scheme
+/// (vcmesh-only), and the placement (mot-only, but required there).
 type SubstrateOptions = (Substrate, McastScheme, Option<Architecture>, Option<String>);
 
 fn substrate_options(flags: &BTreeMap<String, String>) -> Result<SubstrateOptions, ParseCliError> {
@@ -707,7 +678,15 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" => {
-            let mut extra = vec!["arch", "spec-map", "benchmark", "rate", "seeds"];
+            let mut extra = vec![
+                "arch",
+                "spec-map",
+                "benchmark",
+                "rate",
+                "substrate",
+                "mcast",
+                "seeds",
+            ];
             extra.extend(STREAM_KEYS);
             let flags = collect_flags(rest, &with_common(&extra))?;
             let seeds: usize = flags
@@ -724,12 +703,19 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
                      stream a single seed instead)",
                 ));
             }
-            let (arch, spec_map) = placement_options(&flags, true)?;
+            let (substrate, mcast, arch, spec_map) = substrate_options(&flags)?;
+            if seeds > 1 && substrate != Substrate::Mot {
+                return Err(ParseCliError::new(
+                    "--seeds applies to the mot substrate only",
+                ));
+            }
             Ok(Command::Run {
                 arch,
                 spec_map,
                 benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
                 rate: parse_value("rate", required(&flags, "rate")?)?,
+                substrate,
+                mcast,
                 seeds,
                 common: common_options(&flags)?,
             })
@@ -775,31 +761,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
                 from,
                 to,
                 steps,
-                common: common_options(&flags)?,
-            })
-        }
-        "mesh" => {
-            let mut extra = vec!["benchmark", "rate"];
-            extra.extend(STREAM_KEYS);
-            let flags = collect_flags(rest, &{
-                let mut keys = with_common(&extra);
-                keys.push("cols");
-                keys.push("rows");
-                keys
-            })?;
-            Ok(Command::Mesh {
-                benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
-                rate: parse_value("rate", required(&flags, "rate")?)?,
-                cols: flags
-                    .get("cols")
-                    .map(|raw| parse_value("cols", raw))
-                    .transpose()?
-                    .unwrap_or(4),
-                rows: flags
-                    .get("rows")
-                    .map(|raw| parse_value("rows", raw))
-                    .transpose()?
-                    .unwrap_or(4),
                 common: common_options(&flags)?,
             })
         }
@@ -1113,6 +1074,8 @@ mod tests {
                 spec_map: None,
                 benchmark: Benchmark::Multicast10,
                 rate: 0.4,
+                substrate: Substrate::Mot,
+                mcast: McastScheme::XyTree,
                 seeds: 1,
                 common: CommonOptions::default(),
             }
@@ -1247,6 +1210,7 @@ mod tests {
             "run --arch Baseline --benchmark Shuffle --rate 0.4 --jobs 0",
             "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 0",
             "saturate --arch Baseline --benchmark Hotspot --probe-fan 0",
+            "run --arch Baseline --benchmark Multicast5 --rate 0.2 --flits 0",
         ] {
             let err = parse(&argv(line)).unwrap_err();
             assert!(err.message().contains("at least 1"), "{line}: {err}");
@@ -1254,29 +1218,44 @@ mod tests {
     }
 
     #[test]
-    fn mesh_command_with_defaults_and_overrides() {
-        let cmd = parse(&argv("mesh --benchmark Tornado --rate 0.2")).expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Mesh {
-                cols: 4,
-                rows: 4,
-                benchmark: Benchmark::Tornado,
-                ..
-            }
-        ));
+    fn run_substrate_mesh_with_defaults_and_overrides() {
+        let cmd =
+            parse(&argv("run --substrate mesh --benchmark Tornado --rate 0.2")).expect("valid");
+        let Command::Run {
+            substrate: Substrate::Mesh,
+            arch: None,
+            benchmark: Benchmark::Tornado,
+            common,
+            ..
+        } = cmd
+        else {
+            panic!("expected a mesh run: {cmd:?}");
+        };
+        // The mesh is --size x --size, default 8x8.
+        assert_eq!(common.size, 8);
         let cmd = parse(&argv(
-            "mesh --benchmark Shuffle --rate 0.2 --cols 8 --rows 8",
+            "run --substrate vcmesh --mcast dpm --benchmark Shuffle --rate 0.2 --size 4",
         ))
         .expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Mesh {
-                cols: 8,
-                rows: 8,
-                ..
-            }
-        ));
+        let Command::Run {
+            substrate: Substrate::Vcmesh,
+            mcast: McastScheme::Dpm,
+            common,
+            ..
+        } = cmd
+        else {
+            panic!("expected a vcmesh run: {cmd:?}");
+        };
+        assert_eq!(common.size, 4);
+        // --size is the only geometry flag, seed replication is
+        // MoT-only, and --mcast needs the vcmesh.
+        for line in [
+            "run --substrate mesh --benchmark Shuffle --rate 0.2 --cols 8",
+            "run --substrate mesh --benchmark Shuffle --rate 0.2 --seeds 2",
+            "run --arch Baseline --benchmark Shuffle --rate 0.2 --mcast dpm",
+        ] {
+            assert!(parse(&argv(line)).is_err(), "{line}");
+        }
     }
 
     #[test]
@@ -1552,7 +1531,7 @@ mod tests {
     fn stream_flags_parse_on_single_run_commands() {
         for line in [
             "run --arch Baseline --benchmark Shuffle --rate 0.4",
-            "mesh --benchmark Tornado --rate 0.1",
+            "run --substrate mesh --benchmark Tornado --rate 0.1",
             "metrics --arch Baseline --benchmark Shuffle --rate 0.2",
             "faults --arch Baseline --benchmark Shuffle --rate 0.2",
         ] {
@@ -1562,7 +1541,6 @@ mod tests {
             .expect("stream flags parse");
             let common = match cmd {
                 Command::Run { common, .. }
-                | Command::Mesh { common, .. }
                 | Command::Metrics { common, .. }
                 | Command::Faults { common, .. } => common,
                 other => panic!("unexpected command {other:?}"),

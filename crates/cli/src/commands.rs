@@ -5,14 +5,14 @@ use std::io::{self, Write};
 
 use asynoc::harness::{saturation_of, saturation_of_profiled, Quality};
 use asynoc::{
-    parallel_map, Architecture, Duration, FanoutKind, FanoutNodeId, MotNode, MotSize, Network,
+    parallel_map, Architecture, Duration, FanoutKind, FanoutNodeId, MotSize, Network,
     NetworkConfig, Observer, Phases, RunConfig, SimError, SpecMap,
 };
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::JsonValue;
 
 use crate::args::{Command, CommonOptions, USAGE};
 use crate::profile::ProfileWriter;
+use crate::substrate::{Fabric, Job, Load};
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -172,13 +172,13 @@ pub(crate) fn phases_for(benchmark: asynoc::Benchmark, common: &CommonOptions) -
 /// mean ± sample standard deviation of the mean latency.
 fn run_across_seeds(
     map: &SpecMap,
-    identity: &str,
     benchmark: asynoc::Benchmark,
     rate: f64,
     seeds: usize,
     common: &CommonOptions,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
+    let identity = placement_id(map);
     let mut profiler = ProfileWriter::when(common.profile.as_ref(), "run");
     let seed_list: Vec<u64> = (0..seeds as u64).map(|k| common.seed + k).collect();
     let reports = parallel_map(common.jobs, seed_list, |seed| {
@@ -215,7 +215,7 @@ fn run_across_seeds(
                 ..common.clone()
             };
             profiler.add_run(
-                crate::metrics::config_json(Some(identity), benchmark, rate, common.size, &options),
+                crate::metrics::config_json(Some(&identity), benchmark, rate, &options),
                 profile,
             );
         }
@@ -252,6 +252,57 @@ fn run_across_seeds(
     Ok(())
 }
 
+/// The single-seed `run` body, generic over the fabric: the text
+/// report, plus the stream and profile when asked for.
+struct RunJob<'a> {
+    command: &'a Command,
+    out: &'a mut dyn Write,
+}
+
+impl Job for RunJob<'_> {
+    const NAME: &'static str = "run";
+
+    fn on<F: Fabric>(
+        self,
+        fabric: &F,
+        mut profiler: Option<ProfileWriter>,
+    ) -> Result<(), CliError> {
+        let Command::Run {
+            benchmark,
+            rate,
+            common,
+            ..
+        } = self.command
+        else {
+            unreachable!("dispatched on Command::Run");
+        };
+        let load = Load::new(*benchmark, *rate, common);
+        let config = crate::metrics::config_json(fabric.identity(), *benchmark, *rate, common);
+        let mut sink = crate::stream::sink(
+            fabric,
+            common,
+            config.clone(),
+            load.phases,
+            None,
+            crate::stream::DEFAULT_TRACE_LIMIT,
+        )?;
+        let mut extra: Vec<&mut dyn Observer<F::Node>> =
+            sink.iter_mut().map(|sink| sink as _).collect();
+        let mut report = fabric.simulate(&load, &mut extra)?;
+        if let (Some(profiler), Some(profile)) = (profiler.as_mut(), F::summary(&report).profile) {
+            profiler.add_run(config, profile);
+        }
+        fabric.write_text(&load, &mut report, self.out)?;
+        if let Some(profiler) = profiler {
+            profiler.finish()?;
+        }
+        let sections =
+            crate::metrics::scalar_sections(fabric, &report, load.phases.measure(), None);
+        let watchpoints = crate::stream::finish(sink, JsonValue::Object(sections))?;
+        crate::stream::fatal_check(watchpoints, common)
+    }
+}
+
 /// Executes a parsed command, writing its report to `out`.
 ///
 /// # Errors
@@ -270,126 +321,13 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             rate,
             seeds,
             common,
+            ..
         } => {
-            let map = resolve_spec_map(*arch, spec_map.as_ref(), common)?;
-            let identity = placement_id(&map);
             if *seeds > 1 {
-                return run_across_seeds(&map, &identity, *benchmark, *rate, *seeds, common, out);
+                let map = resolve_spec_map(*arch, spec_map.as_ref(), common)?;
+                return run_across_seeds(&map, *benchmark, *rate, *seeds, common, out);
             }
-            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "run");
-            let net = network_for(&map, common)?;
-            let phases = phases_for(*benchmark, common);
-            let run = RunConfig::new(*benchmark, *rate)?
-                .with_phases(phases)
-                .with_shards(common.shards)
-                .with_profile(profiler.is_some())
-                .with_progress(common.progress);
-            let mut sink = match &common.stream {
-                Some(path) => Some(crate::stream::mot_sink(
-                    path,
-                    common,
-                    crate::metrics::config_json(
-                        Some(&identity),
-                        *benchmark,
-                        *rate,
-                        common.size,
-                        common,
-                    ),
-                    net.config().size(),
-                    phases,
-                    None,
-                    crate::stream::DEFAULT_TRACE_LIMIT,
-                )?),
-                None => None,
-            };
-            let mut report = match sink.as_mut() {
-                Some(sink) => {
-                    let mut extra: Vec<&mut dyn Observer<MotNode>> = vec![sink];
-                    net.run_with_observers(&run, &mut extra)?
-                }
-                None => net.run(&run)?,
-            };
-            if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-                profiler.add_run(
-                    crate::metrics::config_json(
-                        Some(&identity),
-                        *benchmark,
-                        *rate,
-                        common.size,
-                        common,
-                    ),
-                    profile,
-                );
-            }
-            writeln!(
-                out,
-                "{identity} ({}x{}) x {benchmark} @ {rate} flits/ns per source",
-                common.size, common.size
-            )?;
-            writeln!(out, "  packets measured : {}", report.packets_measured)?;
-            if report.packets_incomplete > 0 {
-                writeln!(
-                    out,
-                    "  WARNING          : {} packets never completed (saturated?)",
-                    report.packets_incomplete
-                )?;
-            }
-            if report.acceptance() < 0.95 {
-                writeln!(
-                    out,
-                    "  WARNING          : only {:.0}% of offered load accepted — past saturation",
-                    100.0 * report.acceptance()
-                )?;
-            }
-            if let Some(mean) = report.latency.mean() {
-                writeln!(out, "  latency mean     : {mean}")?;
-                if let (Some(p50), Some(p99), Some(max)) = (
-                    report.latency.median(),
-                    report.latency.p99(),
-                    report.latency.max(),
-                ) {
-                    writeln!(out, "  latency p50/p99  : {p50} / {p99} (max {max})")?;
-                }
-            }
-            writeln!(out, "  throughput       : {}", report.throughput)?;
-            writeln!(out, "  power            : {}", report.power)?;
-            writeln!(out, "  flits throttled  : {}", report.flits_throttled)?;
-            if let Some(histogram) = report.latency.histogram(8) {
-                writeln!(out, "  latency distribution:")?;
-                for line in histogram.render(32).lines() {
-                    writeln!(out, "    {line}")?;
-                }
-            }
-            if let Some(profiler) = profiler {
-                profiler.finish()?;
-            }
-            if let Some(sink) = sink {
-                let sections = JsonValue::Object(vec![
-                    (
-                        "throughput".to_string(),
-                        crate::metrics::throughput_json(&report.throughput),
-                    ),
-                    (
-                        "power".to_string(),
-                        crate::metrics::power_json(&report, phases.measure()),
-                    ),
-                    (
-                        "counters".to_string(),
-                        crate::metrics::counters_json(
-                            report.packets_measured,
-                            report.packets_incomplete,
-                            report.flits_throttled,
-                            report.flits_delivered,
-                            report.events_processed,
-                            report.shards,
-                            &report.shard_events,
-                        ),
-                    ),
-                ]);
-                let watchpoints = crate::stream::finish_sink(sink, sections)?;
-                crate::stream::fatal_check(watchpoints, common)?;
-            }
-            Ok(())
+            crate::substrate::dispatch(command, RunJob { command, out })
         }
         Command::Saturate {
             arch,
@@ -417,13 +355,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                     let (point, profiles) = saturation_of_profiled(&net, *benchmark, &quality)?;
                     for (rate, profile) in &profiles {
                         profiler.add_run(
-                            crate::metrics::config_json(
-                                Some(&identity),
-                                *benchmark,
-                                *rate,
-                                common.size,
-                                common,
-                            ),
+                            crate::metrics::config_json(Some(&identity), *benchmark, *rate, common),
                             profile,
                         );
                     }
@@ -493,7 +425,6 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                             Some(&arch.to_string()),
                             *benchmark,
                             rate,
-                            common.size,
                             common,
                         ),
                         profile,
@@ -513,214 +444,11 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             }
             Ok(())
         }
-        Command::Mesh {
-            benchmark,
-            rate,
-            cols,
-            rows,
-            common,
-        } => {
-            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "mesh");
-            let size = MeshSize::new(*cols, *rows).map_err(|e| CliError::Invalid(e.to_string()))?;
-            let network = MeshNetwork::new(
-                MeshConfig::new(size)
-                    .with_seed(common.seed)
-                    .with_flits_per_packet(common.flits)
-                    .with_shards(common.shards)
-                    .with_profile(profiler.is_some())
-                    .with_progress(common.progress),
-            )
-            .map_err(|e| CliError::Invalid(e.to_string()))?;
-            let phases = phases_for(*benchmark, common);
-            let mut sink = match &common.stream {
-                Some(path) => Some(crate::stream::mesh_sink(
-                    path,
-                    common,
-                    crate::metrics::config_json(None, *benchmark, *rate, *cols, common),
-                    size.endpoints(),
-                    phases,
-                    None,
-                    crate::stream::DEFAULT_TRACE_LIMIT,
-                )?),
-                None => None,
-            };
-            let mut report = match sink.as_mut() {
-                Some(sink) => {
-                    let mut extra: Vec<&mut dyn Observer<usize>> = vec![sink];
-                    network
-                        .run_with_observers(*benchmark, *rate, phases, &mut extra)
-                        .map_err(|e| CliError::Invalid(e.to_string()))?
-                }
-                None => network
-                    .run(*benchmark, *rate, phases)
-                    .map_err(|e| CliError::Invalid(e.to_string()))?,
-            };
-            if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-                // The mesh is cols x rows; `size` records the column count
-                // (square in every default invocation).
-                profiler.add_run(
-                    crate::metrics::config_json(None, *benchmark, *rate, *cols, common),
-                    profile,
-                );
-            }
-            writeln!(out, "{size} x {benchmark} @ {rate} flits/ns per endpoint")?;
-            writeln!(out, "  packets measured : {}", report.packets_measured)?;
-            if report.packets_incomplete > 0 || report.acceptance() < 0.95 {
-                writeln!(
-                    out,
-                    "  WARNING          : saturated ({} incomplete, {:.0}% accepted)",
-                    report.packets_incomplete,
-                    100.0 * report.acceptance()
-                )?;
-            }
-            if let (Some(mean), Some(p99)) = (report.latency.mean(), report.latency.p99()) {
-                writeln!(out, "  latency mean/p99 : {mean} / {p99}")?;
-            }
-            writeln!(out, "  throughput       : {}", report.throughput)?;
-            writeln!(out, "  mean hops        : {:.2}", report.mean_hops)?;
-            if let Some(profiler) = profiler {
-                profiler.finish()?;
-            }
-            if let Some(sink) = sink {
-                let sections = JsonValue::Object(vec![
-                    (
-                        "throughput".to_string(),
-                        crate::metrics::throughput_json(&report.throughput),
-                    ),
-                    (
-                        "counters".to_string(),
-                        crate::metrics::counters_json(
-                            report.packets_measured,
-                            report.packets_incomplete,
-                            0,
-                            0,
-                            report.events_processed,
-                            report.shards,
-                            &report.shard_events,
-                        ),
-                    ),
-                ]);
-                let watchpoints = crate::stream::finish_sink(sink, sections)?;
-                crate::stream::fatal_check(watchpoints, common)?;
-            }
-            Ok(())
-        }
-        Command::Metrics {
-            arch,
-            spec_map,
-            benchmark,
-            rate,
-            substrate,
-            mcast,
-            bin_ns,
-            metrics_out,
-            trace_format,
-            trace_out,
-            trace_limit,
-            common,
-        } => crate::metrics::execute_metrics(
-            &crate::metrics::MetricsRequest {
-                arch: *arch,
-                spec_map: spec_map.clone(),
-                benchmark: *benchmark,
-                rate: *rate,
-                substrate: *substrate,
-                mcast: *mcast,
-                bin_ns: *bin_ns,
-                metrics_out: metrics_out.clone(),
-                trace_format: *trace_format,
-                trace_out: trace_out.clone(),
-                trace_limit: *trace_limit,
-                common: common.clone(),
-            },
-            out,
-        ),
-        Command::Analyze {
-            trace_in,
-            report_out,
-            top,
-            heatmap,
-            lenient,
-            profile,
-        } => crate::analyze::execute_analyze(
-            &crate::analyze::AnalyzeRequest {
-                trace_in: trace_in.clone(),
-                report_out: report_out.clone(),
-                top: *top,
-                heatmap: *heatmap,
-                lenient: *lenient,
-                profile: profile.clone(),
-            },
-            out,
-        ),
-        Command::Faults {
-            arch,
-            spec_map,
-            benchmark,
-            rate,
-            substrate,
-            mcast,
-            plan,
-            fault_rate,
-            oracle,
-            report_out,
-            common,
-        } => crate::faults::execute_faults(
-            &crate::faults::FaultsRequest {
-                arch: *arch,
-                spec_map: spec_map.clone(),
-                benchmark: *benchmark,
-                rate: *rate,
-                substrate: *substrate,
-                mcast: *mcast,
-                plan: plan.clone(),
-                fault_rate: *fault_rate,
-                oracle: *oracle,
-                report_out: report_out.clone(),
-                common: common.clone(),
-            },
-            out,
-        ),
-        Command::Explore {
-            benchmark,
-            rate,
-            granularity,
-            beam,
-            max_points,
-            guard,
-            tolerance,
-            report_out,
-            smoke,
-            common,
-        } => crate::explore::execute_explore(
-            &crate::explore::ExploreRequest {
-                benchmark: *benchmark,
-                rate: *rate,
-                granularity: *granularity,
-                beam: *beam,
-                max_points: *max_points,
-                guard: *guard,
-                tolerance: *tolerance,
-                report_out: report_out.clone(),
-                smoke: *smoke,
-                common: common.clone(),
-            },
-            out,
-        ),
-        Command::Watch {
-            stream_in,
-            fold,
-            once,
-            interval_ms,
-        } => crate::watch::execute_watch(
-            &crate::watch::WatchRequest {
-                stream_in: stream_in.clone(),
-                fold: fold.clone(),
-                once: *once,
-                interval_ms: *interval_ms,
-            },
-            out,
-        ),
+        Command::Metrics { .. } => crate::metrics::execute_metrics(command, out),
+        Command::Analyze { .. } => crate::analyze::execute_analyze(command, out),
+        Command::Faults { .. } => crate::faults::execute_faults(command, out),
+        Command::Explore { .. } => crate::explore::execute_explore(command, out),
+        Command::Watch { .. } => crate::watch::execute_watch(command, out),
         Command::Info { arch, size } => {
             let size =
                 MotSize::new(*size).map_err(|e| CliError::Invalid(format!("--size: {e}")))?;
@@ -758,18 +486,21 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
+/// Parses and executes one whitespace-separated invocation, returning
+/// what it wrote (test helper; panics on any failure).
+#[cfg(test)]
+pub(crate) fn run_cli(line: &str) -> String {
+    let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+    let command = crate::args::parse(&args).expect("valid invocation");
+    let mut out = Vec::new();
+    execute(&command, &mut out).expect("command succeeds");
+    String::from_utf8(out).expect("utf8 output")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::args::parse;
-
-    fn run_cli(line: &str) -> String {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let command = parse(&args).expect("valid invocation");
-        let mut out = Vec::new();
-        execute(&command, &mut out).expect("command succeeds");
-        String::from_utf8(out).expect("utf8 output")
-    }
 
     #[test]
     fn help_prints_usage() {
@@ -856,7 +587,7 @@ mod tests {
     #[test]
     fn mesh_run_reports() {
         let text = run_cli(
-            "mesh --benchmark Uniform-random --rate 0.15 --cols 4 --rows 4 \
+            "run --substrate mesh --benchmark Uniform-random --rate 0.15 --size 4 \
              --warmup-ns 60 --measure-ns 500",
         );
         assert!(text.contains("4x4 mesh"));
@@ -982,38 +713,79 @@ mod tests {
     }
 
     #[test]
-    fn run_and_mesh_stream_without_perturbing_the_report() {
+    fn streaming_leaves_every_substrate_and_command_unchanged() {
         use asynoc_telemetry::{fold_stream, JsonValue};
-        for (tag, base) in [
+        let temp = |name: &str| {
+            let path =
+                std::env::temp_dir().join(format!("asynoc-seam-{}-{name}", std::process::id()));
+            path.to_string_lossy().into_owned()
+        };
+        for (tag, fabric) in [
             (
-                "run",
-                "run --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 \
-                 --warmup-ns 40 --measure-ns 300",
+                "mot",
+                "--arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2",
             ),
             (
                 "mesh",
-                "mesh --benchmark Uniform-random --rate 0.15 --cols 4 --rows 4 \
-                 --warmup-ns 60 --measure-ns 500",
+                "--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4",
+            ),
+            (
+                "vcmesh",
+                "--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4",
             ),
         ] {
-            let path = std::env::temp_dir()
-                .join(format!("asynoc-{tag}-stream-{}.ndjson", std::process::id()));
-            let path = path.to_string_lossy().into_owned();
-            let plain = run_cli(base);
-            let streamed = run_cli(&format!("{base} --stream {path}"));
-            assert_eq!(plain, streamed, "{tag}: --stream must not change stdout");
-            let stream = std::fs::read_to_string(&path).expect("stream file");
-            let _ = std::fs::remove_file(&path);
-            let folded = fold_stream(&stream).expect("run stream folds");
-            assert!(
-                folded
-                    .get("throughput")
-                    .and_then(|t| t.get("delivered_gfs"))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap()
-                    > 0.0,
-                "{tag}: end sections carry the scalar summary"
-            );
+            let report = temp(&format!("{tag}-report.json"));
+            for (command, tail) in [
+                ("run", "--warmup-ns 40 --measure-ns 300".to_string()),
+                (
+                    "metrics",
+                    format!("--warmup-ns 40 --measure-ns 300 --metrics-out {report}"),
+                ),
+                (
+                    "faults",
+                    format!("--warmup-ns 20 --measure-ns 150 --oracle --report-out {report}"),
+                ),
+            ] {
+                let case = format!("{command} on {tag}");
+                let base = format!("{command} {fabric} {tail}");
+                let read_report = || match command {
+                    "run" => String::new(),
+                    _ => std::fs::read_to_string(&report).expect("report file"),
+                };
+                let plain = run_cli(&base);
+                let plain_report = read_report();
+                let stream_path = temp(&format!("{tag}-{command}.ndjson"));
+                let streamed = run_cli(&format!("{base} --stream {stream_path}"));
+                assert_eq!(plain, streamed, "{case}: --stream must not change stdout");
+                assert_eq!(plain_report, read_report(), "{case}: nor the report");
+                let stream = std::fs::read_to_string(&stream_path).expect("stream file");
+                let _ = std::fs::remove_file(&stream_path);
+                for record in ["head", "window", "end"] {
+                    assert!(
+                        stream.contains(&format!("\"type\":\"{record}\"")),
+                        "{case}: stream lacks a {record} record"
+                    );
+                }
+                let folded = fold_stream(&stream).expect("stream folds");
+                match command {
+                    "run" => assert!(
+                        folded
+                            .get("throughput")
+                            .and_then(|t| t.get("delivered_gfs"))
+                            .and_then(JsonValue::as_f64)
+                            .unwrap()
+                            > 0.0,
+                        "{case}: end sections carry the scalar summary"
+                    ),
+                    "metrics" => assert_eq!(
+                        folded.render_pretty(),
+                        plain_report,
+                        "{case}: the stream folds into the batch report"
+                    ),
+                    _ => {}
+                }
+            }
+            let _ = std::fs::remove_file(&report);
         }
     }
 

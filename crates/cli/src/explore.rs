@@ -15,70 +15,12 @@
 
 use std::io::Write;
 
-use asynoc::explore::{explore, ExploreSpec, Granularity, EXPLORE_SCHEMA};
-use asynoc::{Architecture, Benchmark, Duration, MotSize, Phases};
+use asynoc::explore::{explore, ExploreSpec, EXPLORE_SCHEMA};
+use asynoc::{Duration, MotSize, Phases};
 use asynoc_telemetry::JsonValue;
 
-use crate::args::CommonOptions;
+use crate::args::Command;
 use crate::commands::CliError;
-
-/// A fully-resolved `explore` invocation.
-pub struct ExploreRequest {
-    /// Traffic benchmark (`None` = the spec default, Multicast10).
-    pub benchmark: Option<Benchmark>,
-    /// Offered load, flits/ns per source (`None` = the spec default).
-    pub rate: Option<f64>,
-    /// Search granularity.
-    pub granularity: Granularity,
-    /// Beam width (node granularity only).
-    pub beam: usize,
-    /// Simulation budget; `None` is unbounded.
-    pub max_points: Option<usize>,
-    /// Preset asserted on/near the front; `None` = `--guard none`.
-    pub guard: Option<Architecture>,
-    /// Relative per-objective guard tolerance.
-    pub tolerance: f64,
-    /// JSON report destination (`None` = the command's output stream).
-    pub report_out: Option<String>,
-    /// Use the short CI windows and light load.
-    pub smoke: bool,
-    /// Shared options.
-    pub common: CommonOptions,
-}
-
-/// Builds the engine spec an invocation resolves to.
-fn explore_spec(request: &ExploreRequest) -> Result<ExploreSpec, CliError> {
-    let size =
-        MotSize::new(request.common.size).map_err(|e| CliError::Invalid(format!("--size: {e}")))?;
-    let mut spec = if request.smoke {
-        ExploreSpec::smoke(size)
-    } else {
-        ExploreSpec::new(size)
-    };
-    if let Some(benchmark) = request.benchmark {
-        spec.benchmark = benchmark;
-    }
-    if let Some(rate) = request.rate {
-        spec.rate_gfs = rate;
-    }
-    spec.seed = request.common.seed;
-    spec.flits_per_packet = request.common.flits;
-    let warmup = request
-        .common
-        .warmup_ns
-        .map_or(spec.phases.warmup(), Duration::from_ns);
-    let measure = request
-        .common
-        .measure_ns
-        .map_or(spec.phases.measure(), Duration::from_ns);
-    spec.phases = Phases::new(warmup, measure);
-    spec.granularity = request.granularity;
-    spec.beam_width = request.beam;
-    spec.jobs = request.common.jobs;
-    spec.shards = request.common.shards;
-    spec.max_points = request.max_points;
-    Ok(spec)
-}
 
 /// Picosecond scores of placements that never drained render as null.
 fn ps_json(ps: u64) -> JsonValue {
@@ -177,12 +119,51 @@ fn guard_json(outcome: &asynoc::explore::GuardOutcome) -> JsonValue {
 ///
 /// Returns a [`CliError`] on simulation, configuration, I/O, or guard
 /// failure.
-pub fn execute_explore(request: &ExploreRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = explore_spec(request)?;
+pub(crate) fn execute_explore(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
+    let Command::Explore {
+        benchmark,
+        rate,
+        granularity,
+        beam,
+        max_points,
+        guard,
+        tolerance,
+        report_out,
+        smoke,
+        common,
+    } = command
+    else {
+        unreachable!("dispatched on Command::Explore");
+    };
+    // The engine spec the invocation resolves to.
+    let size = MotSize::new(common.size).map_err(|e| CliError::Invalid(format!("--size: {e}")))?;
+    let mut spec = if *smoke {
+        ExploreSpec::smoke(size)
+    } else {
+        ExploreSpec::new(size)
+    };
+    if let Some(benchmark) = *benchmark {
+        spec.benchmark = benchmark;
+    }
+    if let Some(rate) = *rate {
+        spec.rate_gfs = rate;
+    }
+    spec.seed = common.seed;
+    spec.flits_per_packet = common.flits;
+    let warmup = common
+        .warmup_ns
+        .map_or(spec.phases.warmup(), Duration::from_ns);
+    let measure = common
+        .measure_ns
+        .map_or(spec.phases.measure(), Duration::from_ns);
+    spec.phases = Phases::new(warmup, measure);
+    spec.granularity = *granularity;
+    spec.beam_width = *beam;
+    spec.jobs = common.jobs;
+    spec.shards = common.shards;
+    spec.max_points = *max_points;
     let report = explore(&spec)?;
-    let guard = request
-        .guard
-        .and_then(|arch| report.guard(arch, request.tolerance));
+    let verdict = guard.and_then(|arch| report.guard(arch, *tolerance));
 
     let doc = JsonValue::Object(vec![
         ("schema".to_string(), JsonValue::str(EXPLORE_SCHEMA)),
@@ -209,11 +190,11 @@ pub fn execute_explore(request: &ExploreRequest, out: &mut dyn Write) -> Result<
         ),
         (
             "guard".to_string(),
-            guard.as_ref().map_or(JsonValue::Null, guard_json),
+            verdict.as_ref().map_or(JsonValue::Null, guard_json),
         ),
     ]);
     let rendered = doc.render_pretty();
-    match &request.report_out {
+    match report_out {
         Some(path) => {
             std::fs::write(path, &rendered)?;
             writeln!(
@@ -247,7 +228,7 @@ pub fn execute_explore(request: &ExploreRequest, out: &mut dyn Write) -> Result<
                     point.area_um2
                 )?;
             }
-            if let Some(outcome) = &guard {
+            if let Some(outcome) = &verdict {
                 writeln!(
                     out,
                     "  guard {}: {} (epsilon {:.4}, tolerance {:.4})",
@@ -269,8 +250,8 @@ pub fn execute_explore(request: &ExploreRequest, out: &mut dyn Write) -> Result<
         None => out.write_all(rendered.as_bytes())?,
     }
 
-    if let Some(arch) = request.guard {
-        match &guard {
+    if let Some(arch) = *guard {
+        match &verdict {
             Some(outcome) if !outcome.within_tolerance => {
                 return Err(CliError::Invalid(format!(
                     "regression guard violated: {arch} is epsilon {:.4} off the Pareto front \
@@ -295,14 +276,7 @@ mod tests {
     use super::*;
     use crate::args::parse;
     use crate::commands::execute;
-
-    fn run_cli(line: &str) -> String {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let command = parse(&args).expect("valid invocation");
-        let mut out = Vec::new();
-        execute(&command, &mut out).expect("command succeeds");
-        String::from_utf8(out).expect("utf8 output")
-    }
+    use crate::commands::run_cli;
 
     fn explore_doc(line: &str) -> JsonValue {
         JsonValue::parse(&run_cli(line)).expect("explore output is valid JSON")

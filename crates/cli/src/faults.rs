@@ -11,79 +11,18 @@
 
 use std::io::Write;
 
-use asynoc::{Architecture, Benchmark};
+use asynoc::{Architecture, Observer};
 use asynoc_faults::{
-    judge, mesh_network, replay_command, run_mesh_outcome, run_mesh_outcome_observed,
-    run_mot_outcome, run_mot_outcome_observed, run_vcmesh_outcome, run_vcmesh_outcome_observed,
-    vcmesh_network, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
+    judge, replay_command, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
 };
 use asynoc_telemetry::JsonValue;
 use asynoc_vcmesh::McastScheme;
 
-use crate::args::{CommonOptions, Substrate};
-use crate::commands::{network_for, phases_for, placement_id, resolve_spec_map, CliError};
-
-/// A fully-resolved `faults` invocation.
-pub struct FaultsRequest {
-    /// Network architecture preset (MoT substrate; exclusive with `spec_map`).
-    pub arch: Option<Architecture>,
-    /// Speculation-placement map (MoT substrate; exclusive with `arch`).
-    pub spec_map: Option<String>,
-    /// Traffic benchmark.
-    pub benchmark: Benchmark,
-    /// Offered load, flits/ns per source.
-    pub rate: f64,
-    /// Which fabric to inject into.
-    pub substrate: Substrate,
-    /// Multicast scheme on the vcmesh substrate (unused elsewhere).
-    pub mcast: McastScheme,
-    /// Encoded plan to replay (`None` = draw from seed and rate).
-    pub plan: Option<String>,
-    /// Random-plan density over the fault domain.
-    pub fault_rate: f64,
-    /// Pair with a clean twin and judge the oracle.
-    pub oracle: bool,
-    /// JSON report destination (`None` = the command's output stream).
-    pub report_out: Option<String>,
-    /// Shared options.
-    pub common: CommonOptions,
-}
-
-/// The faulted run's placement identity string (preset name or canonical
-/// map form) — `None` off the MoT substrate.
-fn placement_identity(request: &FaultsRequest) -> Option<String> {
-    match request.substrate {
-        Substrate::Mot => {
-            resolve_spec_map(request.arch, request.spec_map.as_ref(), &request.common)
-                .ok()
-                .map(|map| placement_id(&map))
-        }
-        Substrate::Mesh | Substrate::Vcmesh => None,
-    }
-}
-
-fn config_json(request: &FaultsRequest) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "arch".to_string(),
-            placement_identity(request).map_or(JsonValue::Null, JsonValue::str),
-        ),
-        (
-            "benchmark".to_string(),
-            JsonValue::str(request.benchmark.to_string()),
-        ),
-        ("rate_gfs".to_string(), JsonValue::Number(request.rate)),
-        (
-            "size".to_string(),
-            JsonValue::uint(request.common.size as u64),
-        ),
-        ("seed".to_string(), JsonValue::uint(request.common.seed)),
-        (
-            "flits".to_string(),
-            JsonValue::uint(u64::from(request.common.flits)),
-        ),
-    ])
-}
+use crate::args::{Command, Substrate};
+use crate::commands::CliError;
+use crate::metrics::config_json;
+use crate::profile::ProfileWriter;
+use crate::substrate::{Fabric, Job, Load};
 
 fn plan_json(plan: &FaultPlan, domain: &FaultDomain) -> JsonValue {
     JsonValue::Object(vec![
@@ -151,178 +90,138 @@ fn outcome_json(outcome: &RunOutcome) -> JsonValue {
     ])
 }
 
-fn run_pair(
-    request: &FaultsRequest,
-) -> Result<(FaultDomain, FaultPlan, RunOutcome, Option<RunOutcome>, u64), CliError> {
-    let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(e.to_string());
-    match request.substrate {
-        Substrate::Mot => {
-            let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), &request.common)?;
-            let net = network_for(&map, &request.common)?;
-            let domain = net.fault_domain();
-            let plan = resolve_plan(request, &domain)?;
-            let phases = phases_for(request.benchmark, &request.common);
-            let run = asynoc::RunConfig::new(request.benchmark, request.rate)?
-                .with_phases(phases)
-                .with_shards(request.common.shards)
-                .with_profile(request.common.profile.is_some())
-                .with_progress(request.common.progress);
-            // Only the faulted run is streamed: the clean twin stays
-            // unobserved so the oracle's reference is untouched.
-            let (faulted, watchpoints) = match &request.common.stream {
-                Some(path) => {
-                    let mut sink = crate::stream::mot_sink(
-                        path,
-                        &request.common,
-                        config_json(request),
-                        net.config().size(),
-                        phases,
-                        None,
-                        crate::stream::DEFAULT_TRACE_LIMIT,
-                    )?;
-                    let faulted =
-                        run_mot_outcome_observed(&net, &run, Some(&plan), &mut [&mut sink])?;
-                    let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
-                    (faulted, watchpoints)
-                }
-                None => (run_mot_outcome(&net, &run, Some(&plan))?, 0),
-            };
-            let clean = request
-                .oracle
-                .then(|| run_mot_outcome(&net, &run, None))
-                .transpose()?;
-            Ok((domain, plan, faulted, clean, watchpoints))
-        }
-        Substrate::Mesh => {
-            let net = mesh_network(
-                request.common.size,
-                request.common.seed,
-                request.common.flits,
-                request.common.shards,
-            )
-            .map_err(|e| invalid(&e))?;
-            // The standard differential constructor predates the profile
-            // flags; rebuild only when one was asked for.
-            let net = if request.common.profile.is_some() || request.common.progress {
-                asynoc_mesh::MeshNetwork::new(
-                    net.config()
-                        .clone()
-                        .with_profile(request.common.profile.is_some())
-                        .with_progress(request.common.progress),
-                )
-                .map_err(|e| invalid(&e))?
-            } else {
-                net
-            };
-            let domain = net.fault_domain();
-            let plan = resolve_plan(request, &domain)?;
-            let phases = phases_for(request.benchmark, &request.common);
-            let (faulted, watchpoints) = match &request.common.stream {
-                Some(path) => {
-                    let mut sink = crate::stream::mesh_sink(
-                        path,
-                        &request.common,
-                        config_json(request),
-                        net.config().size().endpoints(),
-                        phases,
-                        None,
-                        crate::stream::DEFAULT_TRACE_LIMIT,
-                    )?;
-                    let faulted = run_mesh_outcome_observed(
-                        &net,
-                        request.benchmark,
-                        request.rate,
-                        phases,
-                        Some(&plan),
-                        &mut [&mut sink],
-                    )
-                    .map_err(|e| invalid(&e))?;
-                    let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
-                    (faulted, watchpoints)
-                }
-                None => (
-                    run_mesh_outcome(&net, request.benchmark, request.rate, phases, Some(&plan))
-                        .map_err(|e| invalid(&e))?,
-                    0,
-                ),
-            };
-            let clean = request
-                .oracle
-                .then(|| run_mesh_outcome(&net, request.benchmark, request.rate, phases, None))
-                .transpose()
-                .map_err(|e| invalid(&e))?;
-            Ok((domain, plan, faulted, clean, watchpoints))
-        }
-        Substrate::Vcmesh => {
-            let net = vcmesh_network(
-                request.common.size,
-                request.common.seed,
-                request.common.flits,
-                request.common.shards,
-                request.mcast,
-            )
-            .map_err(|e| invalid(&e))?;
-            let net = if request.common.profile.is_some() || request.common.progress {
-                asynoc_vcmesh::VcMeshNetwork::new(
-                    net.config()
-                        .clone()
-                        .with_profile(request.common.profile.is_some())
-                        .with_progress(request.common.progress),
-                )
-                .map_err(|e| invalid(&e))?
-            } else {
-                net
-            };
-            let domain = net.fault_domain();
-            let plan = resolve_plan(request, &domain)?;
-            let phases = phases_for(request.benchmark, &request.common);
-            let (faulted, watchpoints) = match &request.common.stream {
-                Some(path) => {
-                    let mut sink = crate::stream::vcmesh_sink(
-                        path,
-                        &request.common,
-                        config_json(request),
-                        net.config().size().endpoints(),
-                        phases,
-                        None,
-                        crate::stream::DEFAULT_TRACE_LIMIT,
-                    )?;
-                    let faulted = run_vcmesh_outcome_observed(
-                        &net,
-                        request.benchmark,
-                        request.rate,
-                        phases,
-                        Some(&plan),
-                        &mut [&mut sink],
-                    )
-                    .map_err(|e| invalid(&e))?;
-                    let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
-                    (faulted, watchpoints)
-                }
-                None => (
-                    run_vcmesh_outcome(&net, request.benchmark, request.rate, phases, Some(&plan))
-                        .map_err(|e| invalid(&e))?,
-                    0,
-                ),
-            };
-            let clean = request
-                .oracle
-                .then(|| run_vcmesh_outcome(&net, request.benchmark, request.rate, phases, None))
-                .transpose()
-                .map_err(|e| invalid(&e))?;
-            Ok((domain, plan, faulted, clean, watchpoints))
-        }
-    }
+/// The `faults` command body, generic over the fabric.
+struct Faults<'a> {
+    command: &'a Command,
+    out: &'a mut dyn Write,
 }
 
-fn resolve_plan(request: &FaultsRequest, domain: &FaultDomain) -> Result<FaultPlan, CliError> {
-    match &request.plan {
-        Some(text) => FaultPlan::parse(text).map_err(|e| CliError::Invalid(format!("--plan: {e}"))),
-        None => Ok(FaultPlan::random(
-            request.common.seed,
-            request.fault_rate,
-            domain,
-        )),
+impl Job for Faults<'_> {
+    const NAME: &'static str = "faults";
+
+    fn on<F: Fabric>(
+        self,
+        fabric: &F,
+        mut profiler: Option<ProfileWriter>,
+    ) -> Result<(), CliError> {
+        let Command::Faults {
+            benchmark,
+            rate,
+            substrate,
+            mcast,
+            plan,
+            fault_rate,
+            oracle,
+            report_out,
+            common,
+            ..
+        } = self.command
+        else {
+            unreachable!("dispatched on Command::Faults");
+        };
+        let domain = fabric.domain();
+        let plan = match plan {
+            Some(text) => {
+                FaultPlan::parse(text).map_err(|e| CliError::Invalid(format!("--plan: {e}")))?
+            }
+            None => FaultPlan::random(common.seed, *fault_rate, &domain),
+        };
+        let load = Load::new(*benchmark, *rate, common);
+        let config = config_json(fabric.identity(), *benchmark, *rate, common);
+
+        // Only the faulted run is streamed: the clean twin stays
+        // unobserved so the oracle's reference is untouched.
+        let mut sink = crate::stream::sink(
+            fabric,
+            common,
+            config.clone(),
+            load.phases,
+            None,
+            crate::stream::DEFAULT_TRACE_LIMIT,
+        )?;
+        let mut extra: Vec<&mut dyn Observer<F::Node>> =
+            sink.iter_mut().map(|sink| sink as _).collect();
+        let faulted = fabric.outcome(&load, Some(&plan), &mut extra)?;
+        let watchpoints = crate::stream::finish(sink, JsonValue::Object(vec![]))?;
+        let clean = oracle
+            .then(|| fabric.outcome(&load, None, &mut []))
+            .transpose()?;
+
+        if let Some(profiler) = profiler.as_mut() {
+            // One `runs[]` entry per simulation: the faulted run first,
+            // then (under --oracle) its clean twin with the same keys.
+            for outcome in std::iter::once(&faulted).chain(clean.as_ref()) {
+                if let Some(profile) = &outcome.profile {
+                    profiler.add_run(config.clone(), profile);
+                }
+            }
+        }
+        let verdict: Option<OracleVerdict> = clean
+            .as_ref()
+            .map(|clean| judge(clean, &faulted, &plan, &domain));
+
+        let doc = JsonValue::Object(vec![
+            ("schema".to_string(), JsonValue::str(FAULTS_SCHEMA)),
+            ("substrate".to_string(), JsonValue::str(F::TAG)),
+            ("config".to_string(), config),
+            ("plan".to_string(), plan_json(&plan, &domain)),
+            ("faulted".to_string(), outcome_json(&faulted)),
+            (
+                "clean".to_string(),
+                clean.as_ref().map_or(JsonValue::Null, outcome_json),
+            ),
+            (
+                "oracle".to_string(),
+                verdict
+                    .as_ref()
+                    .map_or(JsonValue::Null, OracleVerdict::to_json),
+            ),
+        ]);
+        let rendered = doc.render_pretty();
+        match report_out {
+            Some(path) => {
+                std::fs::write(path, &rendered)?;
+                writeln!(self.out, "fault report written to {path}")?;
+            }
+            // Bare stdout stays pure JSON so pipelines can parse it.
+            None => self.out.write_all(rendered.as_bytes())?,
+        }
+        if let Some(profiler) = profiler {
+            profiler.finish()?;
+        }
+
+        if let Some(verdict) = verdict.filter(|v| !v.pass()) {
+            let failing: Vec<String> = verdict
+                .failures()
+                .iter()
+                .map(|c| format!("{}: {}", c.name, c.detail))
+                .collect();
+            let placement = fabric.identity();
+            let mut replay = replay_command(
+                F::TAG,
+                placement,
+                &benchmark.to_string(),
+                *rate,
+                common.size,
+                common.seed,
+                &plan,
+            );
+            // A custom placement is not a preset name, so the replay's
+            // placement flag must be `--spec-map`, not `--arch`.
+            if placement.is_some_and(|p| p.parse::<Architecture>().is_err()) {
+                replay = replay.replace(" --arch ", " --spec-map ");
+            }
+            // The shared replay line predates multicast schemes; a
+            // non-default one is part of the run's identity.
+            if *substrate == Substrate::Vcmesh && *mcast != McastScheme::default() {
+                replay.push_str(&format!(" --mcast {mcast}"));
+            }
+            return Err(CliError::Invalid(format!(
+                "fault oracle violated:\n  {}\nreplay: {replay}",
+                failing.join("\n  ")
+            )));
+        }
+        crate::stream::fatal_check(watchpoints, common)
     }
 }
 
@@ -333,96 +232,8 @@ fn resolve_plan(request: &FaultsRequest, domain: &FaultDomain) -> Result<FaultPl
 /// # Errors
 ///
 /// Returns a [`CliError`] on simulation, plan, I/O, or oracle failure.
-pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let mut profiler =
-        crate::profile::ProfileWriter::when(request.common.profile.as_ref(), "faults");
-    let (domain, plan, faulted, clean, watchpoints) = run_pair(request)?;
-    if let Some(profiler) = profiler.as_mut() {
-        // One `runs[]` entry per simulation: the faulted run first, then
-        // (under --oracle) its clean twin with the same identity keys.
-        for outcome in std::iter::once(&faulted).chain(clean.as_ref()) {
-            if let Some(profile) = &outcome.profile {
-                profiler.add_run(config_json(request), profile);
-            }
-        }
-    }
-    let verdict: Option<OracleVerdict> = clean
-        .as_ref()
-        .map(|clean| judge(clean, &faulted, &plan, &domain));
-
-    let substrate = match request.substrate {
-        Substrate::Mot => "mot",
-        Substrate::Mesh => "mesh",
-        Substrate::Vcmesh => "vcmesh",
-    };
-    let doc = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::str(FAULTS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str(substrate)),
-        ("config".to_string(), config_json(request)),
-        ("plan".to_string(), plan_json(&plan, &domain)),
-        ("faulted".to_string(), outcome_json(&faulted)),
-        (
-            "clean".to_string(),
-            clean.as_ref().map_or(JsonValue::Null, outcome_json),
-        ),
-        (
-            "oracle".to_string(),
-            verdict
-                .as_ref()
-                .map_or(JsonValue::Null, OracleVerdict::to_json),
-        ),
-    ]);
-    let rendered = doc.render_pretty();
-    match &request.report_out {
-        Some(path) => {
-            std::fs::write(path, &rendered)?;
-            writeln!(out, "fault report written to {path}")?;
-        }
-        // Bare stdout stays pure JSON so pipelines can parse it.
-        None => out.write_all(rendered.as_bytes())?,
-    }
-    if let Some(profiler) = profiler {
-        profiler.finish()?;
-    }
-
-    if let Some(verdict) = &verdict {
-        if !verdict.pass() {
-            let failing: Vec<String> = verdict
-                .failures()
-                .iter()
-                .map(|c| format!("{}: {}", c.name, c.detail))
-                .collect();
-            let placement = placement_identity(request);
-            let mut replay = replay_command(
-                substrate,
-                placement.as_deref(),
-                &request.benchmark.to_string(),
-                request.rate,
-                request.common.size,
-                request.common.seed,
-                &plan,
-            );
-            // A custom placement is not a preset name, so the replay's
-            // placement flag must be `--spec-map`, not `--arch`.
-            if placement
-                .as_deref()
-                .is_some_and(|p| p.parse::<Architecture>().is_err())
-            {
-                replay = replay.replace(" --arch ", " --spec-map ");
-            }
-            // The shared replay line predates multicast schemes; a
-            // non-default one is part of the run's identity.
-            if request.substrate == Substrate::Vcmesh && request.mcast != McastScheme::default() {
-                replay.push_str(&format!(" --mcast {}", request.mcast));
-            }
-            return Err(CliError::Invalid(format!(
-                "fault oracle violated:\n  {}\nreplay: {replay}",
-                failing.join("\n  ")
-            )));
-        }
-    }
-    crate::stream::fatal_check(watchpoints, &request.common)?;
-    Ok(())
+pub(crate) fn execute_faults(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
+    crate::substrate::dispatch(command, Faults { command, out })
 }
 
 #[cfg(test)]
@@ -430,14 +241,7 @@ mod tests {
     use super::*;
     use crate::args::parse;
     use crate::commands::execute;
-
-    fn run_cli(line: &str) -> String {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let command = parse(&args).expect("valid invocation");
-        let mut out = Vec::new();
-        execute(&command, &mut out).expect("command succeeds");
-        String::from_utf8(out).expect("utf8 output")
-    }
+    use crate::commands::run_cli;
 
     #[test]
     fn mot_oracle_run_emits_a_passing_report() {

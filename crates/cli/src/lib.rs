@@ -27,6 +27,7 @@ pub mod faults;
 pub mod metrics;
 pub mod profile;
 pub(crate) mod stream;
+pub(crate) mod substrate;
 pub mod watch;
 
 pub use args::{parse, Command, ParseCliError};

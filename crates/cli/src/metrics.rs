@@ -9,81 +9,37 @@
 
 use std::io::Write;
 
-use asynoc::{Architecture, Benchmark, Duration, MotNode, Observer, RunConfig, RunReport};
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshReport, MeshSize};
-use asynoc_power::EnergyCategory;
+use asynoc::{Benchmark, Duration, Observer};
+use asynoc_power::{EnergyCategory, PowerReport};
+use asynoc_telemetry::trace::SiteFn;
 use asynoc_telemetry::{
-    render_trace, ChromeTraceObserver, JsonValue, LatencyHistograms, LevelSpec, SpeculationWaste,
-    TimeSeries, TraceCollector, TraceMeta, METRICS_SCHEMA,
+    render_trace, ChromeTraceObserver, JsonValue, LatencyHistograms, SpeculationWaste,
+    TraceCollector, TraceMeta, METRICS_SCHEMA,
 };
-use asynoc_topology::{FaninNodeId, FanoutNodeId, MotSize};
-use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork, VcMeshReport};
 
-use crate::args::{CommonOptions, Substrate, TraceFormat};
-use crate::commands::{network_for, phases_for, placement_id, resolve_spec_map, CliError};
+use crate::args::{Command, CommonOptions, TraceFormat};
+use crate::commands::CliError;
+use crate::profile::ProfileWriter;
+use crate::substrate::{Fabric, Job, Load, Summary};
 
-/// A fully-resolved `metrics` invocation.
-pub struct MetricsRequest {
-    /// Network architecture preset (MoT substrate; exclusive with `spec_map`).
-    pub arch: Option<Architecture>,
-    /// Speculation-placement map (MoT substrate; exclusive with `arch`).
-    pub spec_map: Option<String>,
-    /// Traffic benchmark.
-    pub benchmark: Benchmark,
-    /// Offered load, flits/ns per source.
-    pub rate: f64,
-    /// Which fabric to instrument.
-    pub substrate: Substrate,
-    /// Multicast scheme on the vcmesh substrate (unused elsewhere).
-    pub mcast: McastScheme,
-    /// Time-series bin width, ns.
-    pub bin_ns: u64,
-    /// JSON report destination (`None` = the command's output stream).
-    pub metrics_out: Option<String>,
-    /// Trace export format, if tracing.
-    pub trace_format: Option<TraceFormat>,
-    /// Trace destination path.
-    pub trace_out: Option<String>,
-    /// Maximum trace events recorded.
-    pub trace_limit: usize,
-    /// Shared options.
-    pub common: CommonOptions,
+/// The `--trace-out` observer, in the requested format.
+enum Tracer<N> {
+    Ndjson(TraceCollector<N>),
+    Chrome(ChromeTraceObserver<N>),
 }
 
-/// The optional trace observer pair: exactly one is live when tracing.
-struct Tracers<N> {
-    ndjson: Option<TraceCollector<N>>,
-    chrome: Option<ChromeTraceObserver<N>>,
-}
-
-impl<N: Copy> Tracers<N> {
-    fn new(
-        format: Option<TraceFormat>,
-        limit: usize,
-        site_of: impl Fn(N) -> String + 'static,
-    ) -> Self {
+impl<N: Copy> Tracer<N> {
+    fn new(format: TraceFormat, limit: usize, site_of: SiteFn<N>) -> Self {
         match format {
-            Some(TraceFormat::Ndjson) => Tracers {
-                ndjson: Some(TraceCollector::new(limit, Box::new(site_of))),
-                chrome: None,
-            },
-            Some(TraceFormat::Chrome) => Tracers {
-                ndjson: None,
-                chrome: Some(ChromeTraceObserver::new(limit, Box::new(site_of))),
-            },
-            None => Tracers {
-                ndjson: None,
-                chrome: None,
-            },
+            TraceFormat::Ndjson => Tracer::Ndjson(TraceCollector::new(limit, site_of)),
+            TraceFormat::Chrome => Tracer::Chrome(ChromeTraceObserver::new(limit, site_of)),
         }
     }
 
-    fn push_into<'a>(&'a mut self, extra: &mut Vec<&'a mut dyn Observer<N>>) {
-        if let Some(collector) = self.ndjson.as_mut() {
-            extra.push(collector);
-        }
-        if let Some(observer) = self.chrome.as_mut() {
-            extra.push(observer);
+    fn observer(&mut self) -> &mut dyn Observer<N> {
+        match self {
+            Tracer::Ndjson(collector) => collector,
+            Tracer::Chrome(observer) => observer,
         }
     }
 
@@ -91,17 +47,20 @@ impl<N: Copy> Tracers<N> {
     /// meta line (stamped with how many events the cap dropped) so
     /// `asynoc analyze` can gate and price its results; Chrome traces
     /// have no meta notion.
-    fn render(self, mut meta: TraceMeta) -> Option<String> {
-        if let Some(collector) = self.ndjson {
-            meta.dropped_events = collector.dropped();
-            return Some(render_trace(&meta, collector.records()));
+    fn render(self, mut meta: TraceMeta) -> String {
+        match self {
+            Tracer::Ndjson(collector) => {
+                meta.dropped_events = collector.dropped();
+                render_trace(&meta, collector.records())
+            }
+            Tracer::Chrome(observer) => observer.into_trace().render(),
         }
-        self.chrome.map(|observer| observer.into_trace().render())
     }
 }
 
-/// The identity keys a run is reproducible from — shared by the metrics
-/// report's `config` section and the profile document's per-run `config`.
+/// The identity keys a run is reproducible from — shared by every report
+/// `config` section, the stream's `head` record and the profile
+/// document's per-run `config`.
 ///
 /// `arch` is the placement identity string: a preset name, or the
 /// canonical `levels:` map form for custom `--spec-map` placements
@@ -111,7 +70,6 @@ pub(crate) fn config_json(
     arch: Option<&str>,
     benchmark: Benchmark,
     rate: f64,
-    size: usize,
     common: &CommonOptions,
 ) -> JsonValue {
     JsonValue::Object(vec![
@@ -124,7 +82,7 @@ pub(crate) fn config_json(
             JsonValue::str(benchmark.to_string()),
         ),
         ("rate_gfs".to_string(), JsonValue::Number(rate)),
-        ("size".to_string(), JsonValue::uint(size as u64)),
+        ("size".to_string(), JsonValue::uint(common.size as u64)),
         ("seed".to_string(), JsonValue::uint(common.seed)),
         (
             "flits".to_string(),
@@ -133,9 +91,7 @@ pub(crate) fn config_json(
     ])
 }
 
-pub(crate) fn throughput_json(
-    throughput: &asynoc_stats::throughput::ThroughputReport,
-) -> JsonValue {
+fn throughput_json(throughput: &asynoc_stats::throughput::ThroughputReport) -> JsonValue {
     JsonValue::Object(vec![
         (
             "offered_gfs".to_string(),
@@ -156,8 +112,8 @@ pub(crate) fn throughput_json(
     ])
 }
 
-pub(crate) fn power_json(report: &RunReport, window: Duration) -> JsonValue {
-    let category = |c: EnergyCategory| JsonValue::Number(report.power.category_mw(c));
+fn power_json(power: &PowerReport, window: Duration) -> JsonValue {
+    let category = |c: EnergyCategory| JsonValue::Number(power.category_mw(c));
     JsonValue::Object(vec![
         ("fanout_mw".to_string(), category(EnergyCategory::Fanout)),
         ("fanin_mw".to_string(), category(EnergyCategory::Fanin)),
@@ -165,497 +121,196 @@ pub(crate) fn power_json(report: &RunReport, window: Duration) -> JsonValue {
         ("dropped_mw".to_string(), category(EnergyCategory::Dropped)),
         (
             "dynamic_mw".to_string(),
-            JsonValue::Number(report.power.dynamic_mw()),
+            JsonValue::Number(power.dynamic_mw()),
         ),
         (
             "leakage_mw".to_string(),
-            JsonValue::Number(report.power.leakage_mw()),
+            JsonValue::Number(power.leakage_mw()),
         ),
-        (
-            "total_mw".to_string(),
-            JsonValue::Number(report.power.total_mw()),
-        ),
+        ("total_mw".to_string(), JsonValue::Number(power.total_mw())),
         ("window_ps".to_string(), JsonValue::uint(window.as_ps())),
     ])
 }
 
-pub(crate) fn counters_json(
-    packets_measured: usize,
-    packets_incomplete: usize,
-    flits_throttled: u64,
-    flits_delivered: u64,
-    events_processed: u64,
-    shards: usize,
-    shard_events: &[u64],
-) -> JsonValue {
+fn counters_json(summary: &Summary<'_>) -> JsonValue {
     JsonValue::Object(vec![
         (
             "packets_measured".to_string(),
-            JsonValue::uint(packets_measured as u64),
+            JsonValue::uint(summary.packets_measured as u64),
         ),
         (
             "packets_incomplete".to_string(),
-            JsonValue::uint(packets_incomplete as u64),
+            JsonValue::uint(summary.packets_incomplete as u64),
         ),
         (
             "flits_throttled".to_string(),
-            JsonValue::uint(flits_throttled),
+            JsonValue::uint(summary.flits_throttled),
         ),
         (
             "flits_delivered".to_string(),
-            JsonValue::uint(flits_delivered),
+            JsonValue::uint(summary.flits_delivered),
         ),
         (
             "events_processed".to_string(),
-            JsonValue::uint(events_processed),
+            JsonValue::uint(summary.events_processed),
         ),
-        ("shards".to_string(), JsonValue::uint(shards as u64)),
+        ("shards".to_string(), JsonValue::uint(summary.shards as u64)),
         (
             "shard_events".to_string(),
-            JsonValue::Array(shard_events.iter().map(|&e| JsonValue::uint(e)).collect()),
+            JsonValue::Array(
+                summary
+                    .shard_events
+                    .iter()
+                    .map(|&e| JsonValue::uint(e))
+                    .collect(),
+            ),
         ),
     ])
 }
 
-/// The per-level busy-fraction groups of a MoT: fanout levels from the
-/// root down, then fanin levels from the leaves toward each sink.
-pub(crate) fn mot_levels(size: MotSize) -> Vec<LevelSpec> {
-    let n = size.n();
-    let levels = size.levels() as usize;
-    let mut specs = Vec::with_capacity(2 * levels);
-    for level in 0..levels {
-        specs.push(LevelSpec {
-            label: format!("fanout-L{level}"),
-            nodes: n << level,
+/// A report's scalar sections in document order. The metrics document
+/// (`waste` given: the ledger, or `null` off the MoT) spells out every
+/// section, `null` where the fabric has none; `run`'s stream `end`
+/// record (`waste` absent) carries only what the fabric measured:
+/// `throughput`, `power` (MoT only), `counters`, then the fabric's own
+/// sections. The `end` record carries them verbatim, so `fold_stream`
+/// reproduces the batch document byte-for-byte.
+pub(crate) fn scalar_sections<F: Fabric>(
+    fabric: &F,
+    report: &F::Report,
+    window: Duration,
+    waste: Option<JsonValue>,
+) -> Vec<(String, JsonValue)> {
+    let summary = F::summary(report);
+    let metrics = waste.is_some();
+    let mut sections: Vec<(String, JsonValue)> = waste
+        .map(|w| ("waste".to_string(), w))
+        .into_iter()
+        .collect();
+    sections.push((
+        "throughput".to_string(),
+        throughput_json(summary.throughput),
+    ));
+    match summary.power {
+        Some(power) => sections.push(("power".to_string(), power_json(power, window))),
+        None if metrics => sections.push(("power".to_string(), JsonValue::Null)),
+        None => {}
+    }
+    sections.push(("counters".to_string(), counters_json(&summary)));
+    sections.extend(fabric.sections(report));
+    sections
+}
+
+/// The `metrics` command body, generic over the fabric.
+struct Metrics<'a> {
+    command: &'a Command,
+    out: &'a mut dyn Write,
+}
+
+impl Job for Metrics<'_> {
+    const NAME: &'static str = "metrics";
+
+    fn on<F: Fabric>(self, fabric: &F, profiler: Option<ProfileWriter>) -> Result<(), CliError> {
+        let Command::Metrics {
+            benchmark,
+            rate,
+            bin_ns,
+            metrics_out,
+            trace_format,
+            trace_out,
+            trace_limit,
+            common,
+            ..
+        } = self.command
+        else {
+            unreachable!("dispatched on Command::Metrics");
+        };
+        let load = Load::new(*benchmark, *rate, common);
+        let config = config_json(fabric.identity(), *benchmark, *rate, common);
+        let mut latency = LatencyHistograms::new(load.phases, fabric.endpoints());
+        let mut timeseries = fabric.time_series(Duration::from_ns(*bin_ns));
+        let speculation = fabric.speculation();
+        let energy = speculation.as_ref().map(|s| (s.wire_fj, s.drop_fj));
+        let mut waste = speculation
+            .map(|s| SpeculationWaste::new(s.wire_fj, s.drop_fj, fabric.label(), s.parent));
+        let mut tracer =
+            trace_format.map(|format| Tracer::new(format, *trace_limit, fabric.label()));
+        let mut sink = crate::stream::sink(
+            fabric,
+            common,
+            config.clone(),
+            load.phases,
+            Some(*bin_ns),
+            *trace_limit,
+        )?;
+
+        let mut extra: Vec<&mut dyn Observer<F::Node>> = vec![&mut latency, &mut timeseries];
+        if let Some(waste) = waste.as_mut() {
+            extra.push(waste);
+        }
+        if let Some(tracer) = tracer.as_mut() {
+            extra.push(tracer.observer());
+        }
+        if let Some(sink) = sink.as_mut() {
+            extra.push(sink);
+        }
+        let report = fabric.simulate(&load, &mut extra)?;
+
+        let window = load.phases.measure();
+        let power = F::summary(&report).power;
+        let waste_value = waste.map_or(JsonValue::Null, |waste| {
+            // mW = fJ/ps, so dynamic energy over the window is mW x ps (in fJ).
+            let dynamic_mw = power.map_or(0.0, PowerReport::dynamic_mw);
+            waste.to_json(dynamic_mw * window.as_ps() as f64)
         });
-    }
-    for level in 0..levels {
-        specs.push(LevelSpec {
-            label: format!("fanin-L{level}"),
-            nodes: n << level,
-        });
-    }
-    specs
-}
+        let sections = scalar_sections(fabric, &report, window, Some(waste_value));
+        let watchpoints = crate::stream::finish(sink, JsonValue::Object(sections.clone()))?;
+        let mut members = vec![
+            ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
+            ("substrate".to_string(), JsonValue::str(F::TAG)),
+            ("config".to_string(), config.clone()),
+            ("latency".to_string(), latency.to_json()),
+            ("timeseries".to_string(), timeseries.to_json()),
+        ];
+        members.extend(sections);
+        let rendered = JsonValue::Object(members).render_pretty();
 
-pub(crate) fn mot_label(size: MotSize) -> impl Fn(MotNode) -> String + Copy {
-    move |node| match node {
-        MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
-        MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
-    }
-}
-
-/// One substrate run's outputs: the report document, the rendered trace
-/// (if requested), the engine's self-profile (if requested), and the
-/// number of watchpoint records the stream fired (0 without `--stream`).
-type MetricsRun = (
-    JsonValue,
-    Option<String>,
-    Option<Box<asynoc::probe::EngineProfile>>,
-    u64,
-);
-
-/// Runs the MoT substrate with the full telemetry stack and assembles
-/// the report document (plus the rendered trace, if requested).
-fn run_mot(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
-    let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), &request.common)?;
-    let identity = placement_id(&map);
-    let net = network_for(&map, &request.common)?;
-    let size = net.config().size();
-    let (wire_fj, drop_fj) = {
-        let timing = net.config().timing();
-        (timing.wire_fj, timing.drop_fj)
-    };
-    let phases = phases_for(request.benchmark, &request.common);
-    let run = RunConfig::new(request.benchmark, request.rate)?
-        .with_phases(phases)
-        .with_shards(request.common.shards)
-        .with_profile(request.common.profile.is_some())
-        .with_progress(request.common.progress);
-
-    let mut latency = LatencyHistograms::new(phases, size.n());
-    let levels = size.levels() as usize;
-    let mut timeseries = TimeSeries::new(
-        Duration::from_ns(request.bin_ns),
-        mot_levels(size),
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => Some(FanoutNodeId::from_flat_index(size, flat).level as usize),
-            MotNode::Fanin(flat) => {
-                Some(levels + FaninNodeId::from_flat_index(size, flat).level as usize)
+        let out = self.out;
+        match metrics_out {
+            Some(path) => {
+                std::fs::write(path, &rendered)?;
+                writeln!(out, "metrics report written to {path}")?;
             }
-        }),
-    );
-    let label = mot_label(size);
-    let mut waste = SpeculationWaste::new(
-        wire_fj,
-        drop_fj,
-        Box::new(label),
-        // A dropped copy was created by the throttler's fanout parent;
-        // a root throttle (level 0) is attributed to the node itself.
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => {
-                let id = FanoutNodeId::from_flat_index(size, flat);
-                (id.level > 0).then(|| {
-                    let parent = FanoutNodeId {
-                        tree: id.tree,
-                        level: id.level - 1,
-                        index: id.index / 2,
-                    };
-                    MotNode::Fanout(parent.flat_index(size))
-                })
+            // Bare stdout stays pure JSON so pipelines can parse it.
+            None => out.write_all(rendered.as_bytes())?,
+        }
+        let meta = TraceMeta {
+            substrate: F::TAG.to_string(),
+            arch: fabric.identity().map(str::to_string),
+            size: common.size as u64,
+            seed: common.seed,
+            flits: common.flits,
+            rate: *rate,
+            warmup_ps: load.phases.warmup().as_ps(),
+            measure_ps: window.as_ps(),
+            wire_fj: energy.map(|(wire, _)| wire),
+            drop_fj: energy.map(|(_, drop)| drop),
+            dropped_events: 0,
+        };
+        if let (Some(tracer), Some(path)) = (tracer, trace_out) {
+            std::fs::write(path, tracer.render(meta))?;
+            if metrics_out.is_some() {
+                writeln!(out, "trace written to {path}")?;
             }
-            MotNode::Fanin(_) => None,
-        }),
-    );
-    let mut tracers = Tracers::new(request.trace_format, request.trace_limit, label);
-    let mut sink = match &request.common.stream {
-        Some(path) => Some(crate::stream::mot_sink(
-            path,
-            &request.common,
-            config_json(
-                Some(&identity),
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-            size,
-            phases,
-            Some(request.bin_ns),
-            request.trace_limit,
-        )?),
-        None => None,
-    };
-
-    let mut extra: Vec<&mut dyn Observer<MotNode>> =
-        vec![&mut latency, &mut timeseries, &mut waste];
-    tracers.push_into(&mut extra);
-    if let Some(sink) = sink.as_mut() {
-        extra.push(sink);
+        }
+        if let Some(mut profiler) = profiler {
+            if let Some(profile) = F::summary(&report).profile {
+                profiler.add_run(config, profile);
+            }
+            profiler.finish()?;
+        }
+        crate::stream::fatal_check(watchpoints, common)
     }
-    let mut report = net.run_with_observers(&run, &mut extra)?;
-    let engine_profile = report.profile.take();
-
-    // mW = fJ/ps, so dynamic energy over the window is mW x ps (in fJ).
-    let dynamic_fj = report.power.dynamic_mw() * phases.measure().as_ps() as f64;
-    let waste_value = waste.to_json(dynamic_fj);
-    let throughput_value = throughput_json(&report.throughput);
-    let power_value = power_json(&report, phases.measure());
-    let counters_value = counters_json(
-        report.packets_measured,
-        report.packets_incomplete,
-        report.flits_throttled,
-        report.flits_delivered,
-        report.events_processed,
-        report.shards,
-        &report.shard_events,
-    );
-    // The stream's end record carries the scalar sections verbatim, in
-    // batch order, so `fold_stream` reproduces the document below
-    // byte-for-byte.
-    let watchpoints = match sink {
-        Some(sink) => crate::stream::finish_sink(
-            sink,
-            JsonValue::Object(vec![
-                ("waste".to_string(), waste_value.clone()),
-                ("throughput".to_string(), throughput_value.clone()),
-                ("power".to_string(), power_value.clone()),
-                ("counters".to_string(), counters_value.clone()),
-            ]),
-        )?,
-        None => 0,
-    };
-    let doc = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str("mot")),
-        (
-            "config".to_string(),
-            config_json(
-                Some(&identity),
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-        ),
-        ("latency".to_string(), latency.to_json()),
-        ("timeseries".to_string(), timeseries.to_json()),
-        ("waste".to_string(), waste_value),
-        ("throughput".to_string(), throughput_value),
-        ("power".to_string(), power_value),
-        ("counters".to_string(), counters_value),
-    ]);
-    let meta = TraceMeta {
-        substrate: "mot".to_string(),
-        arch: Some(identity),
-        size: request.common.size as u64,
-        seed: request.common.seed,
-        flits: request.common.flits,
-        rate: request.rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: Some(wire_fj),
-        drop_fj: Some(drop_fj),
-        dropped_events: 0,
-    };
-    Ok((doc, tracers.render(meta), engine_profile, watchpoints))
-}
-
-/// Runs the mesh substrate with the substrate-agnostic subset of the
-/// stack (the mesh has no energy model, so `waste` and `power` are null).
-fn run_mesh(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
-    let size = MeshSize::new(request.common.size, request.common.size)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let net = MeshNetwork::new(
-        MeshConfig::new(size)
-            .with_seed(request.common.seed)
-            .with_flits_per_packet(request.common.flits)
-            .with_shards(request.common.shards)
-            .with_profile(request.common.profile.is_some())
-            .with_progress(request.common.progress),
-    )
-    .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let phases = phases_for(request.benchmark, &request.common);
-    let endpoints = size.endpoints();
-
-    let mut latency = LatencyHistograms::new(phases, endpoints);
-    let mut timeseries: TimeSeries<usize> =
-        TimeSeries::single_level(Duration::from_ns(request.bin_ns), "router", endpoints);
-    let mut tracers = Tracers::new(
-        request.trace_format,
-        request.trace_limit,
-        |router: usize| format!("r{router}"),
-    );
-
-    let mut sink = match &request.common.stream {
-        Some(path) => Some(crate::stream::mesh_sink(
-            path,
-            &request.common,
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-            endpoints,
-            phases,
-            Some(request.bin_ns),
-            request.trace_limit,
-        )?),
-        None => None,
-    };
-
-    let mut extra: Vec<&mut dyn Observer<usize>> = vec![&mut latency, &mut timeseries];
-    tracers.push_into(&mut extra);
-    if let Some(sink) = sink.as_mut() {
-        extra.push(sink);
-    }
-    let mut report: MeshReport = net
-        .run_with_observers(request.benchmark, request.rate, phases, &mut extra)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let engine_profile = report.profile.take();
-
-    let throughput_value = throughput_json(&report.throughput);
-    let counters_value = counters_json(
-        report.packets_measured,
-        report.packets_incomplete,
-        0,
-        0,
-        report.events_processed,
-        report.shards,
-        &report.shard_events,
-    );
-    let watchpoints = match sink {
-        Some(sink) => crate::stream::finish_sink(
-            sink,
-            JsonValue::Object(vec![
-                ("waste".to_string(), JsonValue::Null),
-                ("throughput".to_string(), throughput_value.clone()),
-                ("power".to_string(), JsonValue::Null),
-                ("counters".to_string(), counters_value.clone()),
-            ]),
-        )?,
-        None => 0,
-    };
-    let doc = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str("mesh")),
-        (
-            "config".to_string(),
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-        ),
-        ("latency".to_string(), latency.to_json()),
-        ("timeseries".to_string(), timeseries.to_json()),
-        ("waste".to_string(), JsonValue::Null),
-        ("throughput".to_string(), throughput_value),
-        ("power".to_string(), JsonValue::Null),
-        ("counters".to_string(), counters_value),
-    ]);
-    let meta = TraceMeta {
-        substrate: "mesh".to_string(),
-        arch: None,
-        size: request.common.size as u64,
-        seed: request.common.seed,
-        flits: request.common.flits,
-        rate: request.rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: None,
-        drop_fj: None,
-        dropped_events: 0,
-    };
-    Ok((doc, tracers.render(meta), engine_profile, watchpoints))
-}
-
-/// Runs the credit-based VC mesh substrate. Shape matches the mesh
-/// report (null `waste`/`power`) plus one extra `vcs` section with the
-/// multicast scheme and the shard-exact VC-plane counters — the
-/// serial-only credit-conservation ledger stays out of the document so
-/// `--shards N` reports remain byte-identical.
-fn run_vcmesh(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
-    let size = MeshSize::new(request.common.size, request.common.size)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let net = VcMeshNetwork::new(
-        VcMeshConfig::new(size)
-            .with_seed(request.common.seed)
-            .with_flits_per_packet(request.common.flits)
-            .with_mcast(request.mcast)
-            .with_shards(request.common.shards)
-            .with_profile(request.common.profile.is_some())
-            .with_progress(request.common.progress),
-    )
-    .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let phases = phases_for(request.benchmark, &request.common);
-    let endpoints = size.endpoints();
-
-    let mut latency = LatencyHistograms::new(phases, endpoints);
-    let mut timeseries: TimeSeries<usize> =
-        TimeSeries::single_level(Duration::from_ns(request.bin_ns), "router", endpoints);
-    let mut tracers = Tracers::new(
-        request.trace_format,
-        request.trace_limit,
-        |router: usize| format!("r{router}"),
-    );
-
-    let mut sink = match &request.common.stream {
-        Some(path) => Some(crate::stream::vcmesh_sink(
-            path,
-            &request.common,
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-            endpoints,
-            phases,
-            Some(request.bin_ns),
-            request.trace_limit,
-        )?),
-        None => None,
-    };
-
-    let mut extra: Vec<&mut dyn Observer<usize>> = vec![&mut latency, &mut timeseries];
-    tracers.push_into(&mut extra);
-    if let Some(sink) = sink.as_mut() {
-        extra.push(sink);
-    }
-    let mut report: VcMeshReport = net
-        .run_with_observers(request.benchmark, request.rate, phases, &mut extra)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let engine_profile = report.profile.take();
-
-    let throughput_value = throughput_json(&report.throughput);
-    let counters_value = counters_json(
-        report.packets_measured,
-        report.packets_incomplete,
-        report.flits_throttled,
-        report.flits_delivered,
-        report.events_processed,
-        report.shards,
-        &report.shard_events,
-    );
-    let vcs_value = JsonValue::Object(vec![
-        (
-            "mcast".to_string(),
-            JsonValue::str(request.mcast.to_string()),
-        ),
-        (
-            "vc_pushes".to_string(),
-            JsonValue::Array(
-                report
-                    .vc_pushes
-                    .iter()
-                    .map(|&p| JsonValue::uint(p))
-                    .collect(),
-            ),
-        ),
-        (
-            "vc_peak".to_string(),
-            JsonValue::Array(report.vc_peak.iter().map(|&p| JsonValue::uint(p)).collect()),
-        ),
-        (
-            "link_traversals".to_string(),
-            JsonValue::uint(report.link_traversals),
-        ),
-        ("mean_hops".to_string(), JsonValue::Number(report.mean_hops)),
-    ]);
-    let watchpoints = match sink {
-        Some(sink) => crate::stream::finish_sink(
-            sink,
-            JsonValue::Object(vec![
-                ("waste".to_string(), JsonValue::Null),
-                ("throughput".to_string(), throughput_value.clone()),
-                ("power".to_string(), JsonValue::Null),
-                ("counters".to_string(), counters_value.clone()),
-                ("vcs".to_string(), vcs_value.clone()),
-            ]),
-        )?,
-        None => 0,
-    };
-    let doc = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str("vcmesh")),
-        (
-            "config".to_string(),
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-        ),
-        ("latency".to_string(), latency.to_json()),
-        ("timeseries".to_string(), timeseries.to_json()),
-        ("waste".to_string(), JsonValue::Null),
-        ("throughput".to_string(), throughput_value),
-        ("power".to_string(), JsonValue::Null),
-        ("counters".to_string(), counters_value),
-        ("vcs".to_string(), vcs_value),
-    ]);
-    let meta = TraceMeta {
-        substrate: "vcmesh".to_string(),
-        arch: None,
-        size: request.common.size as u64,
-        seed: request.common.seed,
-        flits: request.common.flits,
-        rate: request.rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: None,
-        drop_fj: None,
-        dropped_events: 0,
-    };
-    Ok((doc, tracers.render(meta), engine_profile, watchpoints))
 }
 
 /// Executes a `metrics` command: runs the instrumented simulation, then
@@ -666,69 +321,15 @@ fn run_vcmesh(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
 /// # Errors
 ///
 /// Returns a [`CliError`] on simulation, configuration, or I/O failure.
-pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let profiler = crate::profile::ProfileWriter::when(request.common.profile.as_ref(), "metrics");
-    let (doc, trace, engine_profile, watchpoints) = match request.substrate {
-        Substrate::Mot => run_mot(request)?,
-        Substrate::Mesh => run_mesh(request)?,
-        Substrate::Vcmesh => run_vcmesh(request)?,
-    };
-    let rendered = doc.render_pretty();
-    match &request.metrics_out {
-        Some(path) => {
-            std::fs::write(path, &rendered)?;
-            writeln!(out, "metrics report written to {path}")?;
-        }
-        // Bare stdout stays pure JSON so pipelines can parse it.
-        None => out.write_all(rendered.as_bytes())?,
-    }
-    if let (Some(text), Some(path)) = (&trace, &request.trace_out) {
-        std::fs::write(path, text)?;
-        if request.metrics_out.is_some() {
-            writeln!(out, "trace written to {path}")?;
-        }
-    }
-    if let Some(mut profiler) = profiler {
-        if let Some(engine_profile) = &engine_profile {
-            let identity = match request.substrate {
-                Substrate::Mot => Some(placement_id(&resolve_spec_map(
-                    request.arch,
-                    request.spec_map.as_ref(),
-                    &request.common,
-                )?)),
-                Substrate::Mesh | Substrate::Vcmesh => None,
-            };
-            profiler.add_run(
-                config_json(
-                    identity.as_deref(),
-                    request.benchmark,
-                    request.rate,
-                    request.common.size,
-                    &request.common,
-                ),
-                engine_profile,
-            );
-        }
-        profiler.finish()?;
-    }
-    crate::stream::fatal_check(watchpoints, &request.common)?;
-    Ok(())
+pub(crate) fn execute_metrics(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
+    crate::substrate::dispatch(command, Metrics { command, out })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse;
-    use crate::commands::execute;
+    use crate::commands::run_cli;
     use asynoc_telemetry::{parse_trace, validate_chrome};
-
-    fn run_cli(line: &str) -> String {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let command = parse(&args).expect("valid invocation");
-        let mut out = Vec::new();
-        execute(&command, &mut out).expect("command succeeds");
-        String::from_utf8(out).expect("utf8 output")
-    }
 
     fn metrics_doc(line: &str) -> JsonValue {
         JsonValue::parse(&run_cli(line)).expect("metrics output is valid JSON")

@@ -1,19 +1,20 @@
-//! Shared plumbing for `--stream`: sink construction for both
-//! substrates and the finish / `--watch-fatal` epilogue.
+//! Shared plumbing for `--stream`: the sink builder and the finish /
+//! `--watch-fatal` epilogue.
 //!
-//! Every streamed command builds its sink here so the stream's `head`
-//! config, level grouping, and site labels match the batch metrics
-//! path exactly — that identity is what lets `asynoc watch --fold`
-//! reproduce the batch `asynoc-metrics-v1` document byte-for-byte.
+//! Every streamed command builds its sink here from the same fabric
+//! descriptor the batch metrics path uses, so the stream's `head`
+//! config, level grouping, and site labels match it exactly — that
+//! identity is what lets `asynoc watch --fold` reproduce the batch
+//! `asynoc-metrics-v1` document byte-for-byte.
 
 use std::io::Write;
 
-use asynoc::{Duration, MotNode, NodeKey, Phases};
-use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink, TimeSeries, WatchConfig};
-use asynoc_topology::{FaninNodeId, FanoutNodeId, MotSize};
+use asynoc::{Duration, Phases};
+use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink, WatchConfig};
 
 use crate::args::CommonOptions;
 use crate::commands::CliError;
+use crate::substrate::Fabric;
 
 /// Default flush-window width when `--stream-window-ns` is absent, ns.
 pub(crate) const DEFAULT_WINDOW_NS: u64 = 1000;
@@ -40,123 +41,56 @@ fn resolve_widths(common: &CommonOptions, bin_ns: Option<u64>) -> (Duration, Dur
     }
 }
 
-/// Opens the destination of `--stream <path|->`.
-fn open_out(path: &str) -> Result<Box<dyn Write>, CliError> {
-    Ok(if path == "-" {
-        Box::new(std::io::stdout())
-    } else {
-        Box::new(std::fs::File::create(path)?)
-    })
-}
-
-/// Builds the streaming sink for a MoT run, mirroring the batch metrics
-/// collectors (same level grouping, same node labels).
+/// Builds the streaming sink `--stream <path|->` asks for (`None`
+/// without the flag), mirroring the batch metrics collectors: same
+/// level grouping, same node labels.
 ///
 /// `bin_ns` is the time-series bin width when the command has one
 /// (`metrics --bin-ns`); `None` uses one bin per flush window.
-pub(crate) fn mot_sink(
-    path: &str,
+pub(crate) fn sink<F: Fabric>(
+    fabric: &F,
     common: &CommonOptions,
     config: JsonValue,
-    size: MotSize,
     phases: Phases,
     bin_ns: Option<u64>,
     trace_limit: usize,
-) -> Result<StreamSink<MotNode>, CliError> {
+) -> Result<Option<StreamSink<F::Node>>, CliError> {
+    let Some(path) = &common.stream else {
+        return Ok(None);
+    };
+    let out: Box<dyn Write> = if path == "-" {
+        Box::new(std::io::stdout())
+    } else {
+        Box::new(std::fs::File::create(path)?)
+    };
     let (window, bin) = resolve_widths(common, bin_ns);
-    let levels = size.levels() as usize;
-    let series = TimeSeries::new(
-        bin,
-        crate::metrics::mot_levels(size),
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => Some(FanoutNodeId::from_flat_index(size, flat).level as usize),
-            MotNode::Fanin(flat) => {
-                Some(levels + FaninNodeId::from_flat_index(size, flat).level as usize)
-            }
-        }),
-    );
-    let label = crate::metrics::mot_label(size);
-    Ok(StreamSink::new(
-        open_out(path)?,
+    Ok(Some(StreamSink::new(
+        out,
         StreamConfig {
-            substrate: "mot".to_string(),
+            substrate: F::TAG.to_string(),
             config,
             window,
             trace_limit: common.stream_trace.then_some(trace_limit),
             watch: WatchConfig::default(),
         },
         phases,
-        size.n(),
-        series,
-        Box::new(label),
-    )?)
+        fabric.endpoints(),
+        fabric.time_series(bin),
+        fabric.label(),
+    )?))
 }
 
-/// Builds the streaming sink for a mesh run (one "router" level, like
-/// the batch mesh metrics path).
-pub(crate) fn mesh_sink(
-    path: &str,
-    common: &CommonOptions,
-    config: JsonValue,
-    endpoints: usize,
-    phases: Phases,
-    bin_ns: Option<u64>,
-    trace_limit: usize,
-) -> Result<StreamSink<usize>, CliError> {
-    let (window, bin) = resolve_widths(common, bin_ns);
-    let series = TimeSeries::single_level(bin, "router", endpoints);
-    Ok(StreamSink::new(
-        open_out(path)?,
-        StreamConfig {
-            substrate: "mesh".to_string(),
-            config,
-            window,
-            trace_limit: common.stream_trace.then_some(trace_limit),
-            watch: WatchConfig::default(),
-        },
-        phases,
-        endpoints,
-        series,
-        Box::new(|router: usize| format!("r{router}")),
-    )?)
-}
-
-/// Builds the streaming sink for a VC mesh run — identical grouping and
-/// labels to the mesh (one "router" level), under its own substrate tag.
-pub(crate) fn vcmesh_sink(
-    path: &str,
-    common: &CommonOptions,
-    config: JsonValue,
-    endpoints: usize,
-    phases: Phases,
-    bin_ns: Option<u64>,
-    trace_limit: usize,
-) -> Result<StreamSink<usize>, CliError> {
-    let (window, bin) = resolve_widths(common, bin_ns);
-    let series = TimeSeries::single_level(bin, "router", endpoints);
-    Ok(StreamSink::new(
-        open_out(path)?,
-        StreamConfig {
-            substrate: "vcmesh".to_string(),
-            config,
-            window,
-            trace_limit: common.stream_trace.then_some(trace_limit),
-            watch: WatchConfig::default(),
-        },
-        phases,
-        endpoints,
-        series,
-        Box::new(|router: usize| format!("r{router}")),
-    )?)
-}
-
-/// Closes the stream (final window flush, residue check, `end` record)
-/// and returns how many watchpoint records fired over its life.
-pub(crate) fn finish_sink<N: Copy + NodeKey + 'static>(
-    sink: StreamSink<N>,
+/// Closes the stream, if any (final window flush, residue check, `end`
+/// record carrying `sections`), and returns how many watchpoint records
+/// fired over its life.
+pub(crate) fn finish<N: Copy + asynoc::NodeKey + 'static>(
+    sink: Option<StreamSink<N>>,
     sections: JsonValue,
 ) -> Result<u64, CliError> {
-    Ok(sink.finish(sections)?.watchpoints)
+    match sink {
+        Some(sink) => Ok(sink.finish(sections)?.watchpoints),
+        None => Ok(0),
+    }
 }
 
 /// The `--watch-fatal` epilogue: called after every report is written,

@@ -16,20 +16,8 @@ use std::time::Instant;
 
 use asynoc_telemetry::{fold_stream, JsonValue, STREAM_SCHEMA};
 
+use crate::args::Command;
 use crate::commands::CliError;
-
-/// A fully-resolved `watch` invocation.
-pub struct WatchRequest {
-    /// The stream to follow (`-` = stdin).
-    pub stream_in: String,
-    /// Fold the finished stream into a batch metrics document here
-    /// (`-` = stdout).
-    pub fold: Option<String>,
-    /// Single pass: read what is present, report, exit.
-    pub once: bool,
-    /// Poll interval while tailing, milliseconds.
-    pub interval_ms: u64,
-}
 
 /// Polls without growth before the host-time stall note fires once.
 const STALL_POLLS: u32 = 25;
@@ -219,23 +207,33 @@ fn write_fold(text: &str, fold_out: &str, out: &mut dyn Write) -> Result<(), Cli
 ///
 /// Returns a [`CliError`] when the stream cannot be read, is not an
 /// `asynoc-stream-v1` document, or `--fold` fails to decode it.
-pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    if request.stream_in == "-" {
+pub(crate) fn execute_watch(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
+    let Command::Watch {
+        stream_in,
+        fold,
+        once,
+        interval_ms,
+    } = command
+    else {
+        unreachable!("dispatched on Command::Watch");
+    };
+    let fold = fold.as_deref();
+    if stream_in == "-" {
         let mut text = String::new();
         std::io::stdin().read_to_string(&mut text)?;
-        return consume_complete(&text, request, out, None);
+        return consume_complete(&text, fold, out, None);
     }
-    if request.once {
-        let text = std::fs::read_to_string(&request.stream_in)?;
-        return consume_complete(&text, request, out, None);
+    if *once {
+        let text = std::fs::read_to_string(stream_in)?;
+        return consume_complete(&text, fold, out, None);
     }
-    tail(request, out)
+    tail(stream_in, fold, *interval_ms, out)
 }
 
 /// Single pass over a complete (or cut-off) stream text.
 fn consume_complete(
     text: &str,
-    request: &WatchRequest,
+    fold: Option<&str>,
     out: &mut dyn Write,
     host_elapsed: Option<f64>,
 ) -> Result<(), CliError> {
@@ -244,15 +242,20 @@ fn consume_complete(
         dashboard.ingest(line, out)?;
     }
     dashboard.summary(out, host_elapsed)?;
-    if let Some(fold_out) = &request.fold {
+    if let Some(fold_out) = fold {
         write_fold(text, fold_out, out)?;
     }
     Ok(())
 }
 
 /// Tails the file until its `end` record arrives.
-fn tail(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let file = std::fs::File::open(&request.stream_in)?;
+fn tail(
+    stream_in: &str,
+    fold: Option<&str>,
+    interval_ms: u64,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    let file = std::fs::File::open(stream_in)?;
     let mut reader = BufReader::new(file);
     let mut dashboard = Dashboard::default();
     let mut text = String::new();
@@ -296,14 +299,14 @@ fn tail(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
                     out,
                     "note: no stream growth for {:.1}s — producer gone or busy between \
                      windows (Ctrl-C to stop watching)",
-                    f64::from(quiet_polls) * request.interval_ms as f64 / 1e3
+                    f64::from(quiet_polls) * interval_ms as f64 / 1e3
                 )?;
             }
         }
-        std::thread::sleep(std::time::Duration::from_millis(request.interval_ms));
+        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
     dashboard.summary(out, Some(started.elapsed().as_secs_f64()))?;
-    if let Some(fold_out) = &request.fold {
+    if let Some(fold_out) = fold {
         write_fold(&text, fold_out, out)?;
     }
     Ok(())
@@ -320,14 +323,14 @@ mod tests {
             text.len()
         ));
         std::fs::write(&path, text).expect("stream fixture");
-        let request = WatchRequest {
+        let command = Command::Watch {
             stream_in: path.to_string_lossy().into_owned(),
             fold,
             once: true,
             interval_ms: 1,
         };
         let mut out = Vec::new();
-        let result = execute_watch(&request, &mut out);
+        let result = execute_watch(&command, &mut out);
         let _ = std::fs::remove_file(&path);
         (String::from_utf8(out).expect("utf8"), result)
     }

@@ -188,7 +188,6 @@ pub struct RunConfig {
     rate_gfs: f64,
     phases: Phases,
     drain: bool,
-    trace_limit: usize,
     scheduler: SchedulerKind,
     shards: usize,
     profile: bool,
@@ -214,7 +213,6 @@ impl RunConfig {
             rate_gfs,
             phases: Phases::paper_standard(benchmark == Benchmark::MulticastStatic),
             drain: true,
-            trace_limit: 0,
             scheduler: SchedulerKind::default(),
             shards: 1,
             profile: false,
@@ -273,21 +271,6 @@ impl RunConfig {
     #[must_use]
     pub fn drain(&self) -> bool {
         self.drain
-    }
-
-    /// Enables flit-level tracing, recording up to `limit` events into
-    /// [`RunReport::trace`](crate::RunReport). Zero disables tracing (the
-    /// default).
-    #[must_use]
-    pub fn with_trace(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
-        self
-    }
-
-    /// The trace-event cap (0 = tracing off).
-    #[must_use]
-    pub fn trace_limit(&self) -> usize {
-        self.trace_limit
     }
 
     /// Replaces the event-queue scheduler (results are bit-identical

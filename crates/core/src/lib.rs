@@ -53,13 +53,11 @@ pub mod harness;
 pub mod observers;
 pub mod report;
 pub mod sim;
-pub mod trace;
 
 pub use config::{NetworkConfig, RunConfig};
 pub use error::SimError;
 pub use report::RunReport;
 pub use sim::{MotNode, Network};
-pub use trace::{TraceAction, TraceEvent, TraceLocation};
 
 // Re-export the vocabulary types users need to drive the API.
 pub use asynoc_engine::probe;

@@ -173,9 +173,6 @@ pub struct RunReport {
     pub flits_delivered: u64,
     /// Per-node activity over the measurement window.
     pub activity: NodeActivity,
-    /// Flit-level trace events (empty unless the run enabled tracing via
-    /// [`RunConfig::with_trace`](crate::RunConfig::with_trace)).
-    pub trace: Vec<crate::trace::TraceEvent>,
     /// Discrete events the engine processed over the whole run (including
     /// warmup and drain) — a deterministic measure of simulation work.
     pub events_processed: u64,

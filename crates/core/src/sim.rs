@@ -15,9 +15,10 @@
 //! Sources, sinks, channels, the event queue, and the paper's §5.1
 //! measurement protocol live in `asynoc-engine`; this module contributes
 //! only what is MoT-specific — the fabric wiring, the fanout/fanin firing
-//! rules, and the tree routing — via the private `MotModel`. Statistics,
-//! power, and
-//! tracing attach as [`Observer`]s (see [`crate::observers`]).
+//! rules, and the tree routing — via the private `MotModel`. Statistics
+//! and power attach as [`Observer`]s (see [`crate::observers`]); flit
+//! traces come from telemetry's `TraceCollector`, passed to
+//! [`Network::run_with_observers`].
 
 use asynoc_engine::{
     ArmedFaults, ChannelEnds, Ctx, FaultDomain, ForwardInfo, NodeKey, NodeRef, Observer, Partition,
@@ -33,7 +34,7 @@ use asynoc_traffic::SourceTraffic;
 use crate::config::{NetworkConfig, RunConfig};
 use crate::error::SimError;
 use crate::fabric::{Downstream, Entity, Fabric};
-use crate::observers::{ActivityObserver, PowerObserver, TraceObserver};
+use crate::observers::{ActivityObserver, PowerObserver};
 use crate::report::{NodeActivity, RunReport};
 
 /// A ready-to-run simulated network.
@@ -129,7 +130,7 @@ impl Network {
     }
 
     /// Executes one run with caller-supplied observers registered after
-    /// the standard power/activity/trace set.
+    /// the standard power/activity set.
     ///
     /// Extra observers see the identical event stream the built-in ones
     /// do, in registration order, without perturbing the simulation.
@@ -233,7 +234,6 @@ impl Network {
         let mut power = PowerObserver::new(config.timing(), &self.fabric);
         let mut activity =
             ActivityObserver::new(NodeActivity::new(config.size(), phases.measure()));
-        let mut trace = TraceObserver::new(&self.fabric, run.trace_limit());
 
         // `&mut dyn` is invariant in the trait object's lifetime, so the
         // caller's observers can't join a slice of short-lived local ones
@@ -255,7 +255,7 @@ impl Network {
             .with_progress(run.progress())
             .with_latency_cap(run.latency_cap());
         let observers: &mut [&mut dyn Observer<MotNode>] =
-            &mut [&mut power, &mut activity, &mut trace, &mut extras];
+            &mut [&mut power, &mut activity, &mut extras];
         let shards = run.shards();
         let (engine, _model) = match faults {
             None => asynoc_engine::run_sharded(model, traffic, spec, shards, observers),
@@ -276,7 +276,6 @@ impl Network {
             flits_throttled: engine.flits_throttled,
             flits_delivered: engine.flits_delivered,
             activity: activity.into_activity(),
-            trace: trace.into_events(),
             events_processed: engine.events_processed,
             shards: engine.shards,
             shard_events: engine.shard_events,
@@ -708,13 +707,20 @@ mod tests {
 
     #[test]
     fn sharded_runs_match_serial_bit_for_bit() {
+        use asynoc_telemetry::TraceCollector;
+        // One run with the first 512 flit actions traced.
+        let traced = |network: &Network, run: &RunConfig| {
+            let mut trace = TraceCollector::<MotNode>::generic(512);
+            let report = network.run_with_observers(run, &mut [&mut trace]).unwrap();
+            (report, trace.into_records())
+        };
         for arch in [Architecture::Baseline, Architecture::OptHybridSpeculative] {
             let network = Network::new(NetworkConfig::eight_by_eight(arch).with_seed(7)).unwrap();
-            let run = RunConfig::quick(Benchmark::Multicast5, 0.3).with_trace(512);
-            let serial = network.run(&run).unwrap();
+            let run = RunConfig::quick(Benchmark::Multicast5, 0.3);
+            let (serial, serial_trace) = traced(&network, &run);
             assert_eq!(serial.shards, 1);
             for shards in [2, 3, 8] {
-                let sharded = network.run(&run.clone().with_shards(shards)).unwrap();
+                let (sharded, sharded_trace) = traced(&network, &run.clone().with_shards(shards));
                 assert_eq!(sharded.shards, shards, "{arch}: shard count honoured");
                 assert_eq!(
                     sharded.shard_events.iter().sum::<u64>(),
@@ -728,7 +734,7 @@ mod tests {
                 assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
                 assert_eq!(sharded.flits_throttled, serial.flits_throttled, "{arch}");
                 assert_eq!(sharded.flits_delivered, serial.flits_delivered, "{arch}");
-                assert_eq!(sharded.trace, serial.trace, "{arch}: trace streams differ");
+                assert_eq!(sharded_trace, serial_trace, "{arch}: trace streams differ");
                 assert_eq!(
                     format!("{:?}", sharded.activity),
                     format!("{:?}", serial.activity),
@@ -874,40 +880,31 @@ mod tests {
 
     #[test]
     fn trace_records_a_packet_journey() {
-        use crate::trace::TraceAction;
+        use asynoc_telemetry::TraceCollector;
         let network = Network::new(
             NetworkConfig::eight_by_eight(Architecture::BasicHybridSpeculative).with_seed(42),
         )
         .unwrap();
-        let run = RunConfig::quick(Benchmark::UniformRandom, 0.1).with_trace(500);
-        let report = network.run(&run).unwrap();
-        assert!(!report.trace.is_empty());
-        assert!(report.trace.len() <= 500);
+        let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
+        let mut collector = TraceCollector::<MotNode>::generic(500);
+        network
+            .run_with_observers(&run, &mut [&mut collector])
+            .unwrap();
+        let trace = collector.records();
+        assert!(!trace.is_empty());
+        assert!(trace.len() <= 500);
         // Times are non-decreasing.
-        assert!(report.trace.windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(trace.windows(2).all(|w| w[0].t_ps <= w[1].t_ps));
         // With a speculative root, the trace must show both broadcasts and
         // throttles, and at least one delivery.
-        assert!(report
-            .trace
+        assert!(trace.iter().any(|r| r.action == "throttle"));
+        assert!(trace.iter().any(|r| r.action == "deliver"));
+        let both = asynoc_packet::RouteSymbol::Both.to_string();
+        assert!(trace
             .iter()
-            .any(|e| e.action == TraceAction::Throttled));
-        assert!(report
-            .trace
-            .iter()
-            .any(|e| e.action == TraceAction::Delivered));
-        assert!(report
-            .trace
-            .iter()
-            .any(|e| matches!(e.action, TraceAction::Forwarded(s) if s == asynoc_packet::RouteSymbol::Both)));
+            .any(|r| r.action == "forward" && r.detail == both));
         // Every traced packet's journey starts with an injection.
-        let first = &report.trace[0];
-        assert_eq!(first.action, TraceAction::Injected);
-    }
-
-    #[test]
-    fn tracing_off_by_default() {
-        let report = quick_run(Architecture::Baseline, Benchmark::Shuffle, 0.1);
-        assert!(report.trace.is_empty());
+        assert_eq!(trace[0].action, "inject");
     }
 
     #[test]

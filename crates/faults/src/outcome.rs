@@ -10,9 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use asynoc::{Benchmark, Network, Observer, Phases, RunConfig, SimEvent, Time};
+use asynoc::{Benchmark, Duration, Network, Observer, Phases, RunConfig, SimEvent, Time};
 use asynoc_analysis::SpanForest;
-use asynoc_engine::FaultSummary;
+use asynoc_engine::{ArmedFaults, FaultSummary};
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::{FaultLedger, TraceCollector};
 use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
@@ -104,18 +104,40 @@ pub struct RunOutcome {
 /// windows, so this comfortably captures every event.
 const TRACE_CAPACITY: usize = 500_000;
 
-fn distill(
-    deliveries: DeliveryMultiset,
-    mean_latency_ps: Option<u64>,
-    packets_incomplete: usize,
-    ledger: FaultLedger,
-    summary: FaultSummary,
-    forest: &SpanForest,
-    profile: Option<Box<asynoc_engine::probe::EngineProfile>>,
-) -> RunOutcome {
-    RunOutcome {
-        deliveries,
-        mean_latency_ps,
+/// What an outcome keeps of a substrate's report: the mean measured
+/// latency, the incomplete-packet count, and the self-profile.
+type Tally = (
+    Option<Duration>,
+    usize,
+    Option<Box<asynoc_engine::probe::EngineProfile>>,
+);
+
+/// The one outcome body: registers the oracle's observers ahead of the
+/// caller's, arms `plan` when it has entries (a clean run constructs no
+/// fault state at all), runs the substrate through `run`, and distills
+/// the result.
+fn outcome<N: Copy + std::fmt::Debug, E>(
+    plan: Option<&FaultPlan>,
+    observers: &mut [&mut dyn Observer<N>],
+    run: impl FnOnce(Option<&mut ArmedFaults>, &mut [&mut dyn Observer<N>]) -> Result<Tally, E>,
+) -> Result<RunOutcome, E> {
+    let mut log = DeliveryLog::new();
+    let mut ledger = FaultLedger::new();
+    let mut trace: TraceCollector<N> = TraceCollector::generic(TRACE_CAPACITY);
+    let mut extras = Extras(observers);
+    let mut extra: Vec<&mut dyn Observer<N>> = vec![&mut log, &mut ledger, &mut trace, &mut extras];
+    let ((mean, packets_incomplete, profile), summary) = match plan {
+        Some(plan) if !plan.entries.is_empty() => {
+            let mut armed = plan.arm();
+            let tally = run(Some(&mut armed), &mut extra)?;
+            (tally, armed.summary())
+        }
+        _ => (run(None, &mut extra)?, FaultSummary::default()),
+    };
+    let forest = SpanForest::build(trace.records());
+    Ok(RunOutcome {
+        deliveries: log.into_deliveries(),
+        mean_latency_ps: mean.map(|d| d.as_ps()),
         packets_incomplete,
         ledger,
         summary,
@@ -123,7 +145,7 @@ fn distill(
         broken_trees: forest.broken_trees,
         broken_with_cause: forest.broken_with_cause,
         profile,
-    }
+    })
 }
 
 /// Runs the MoT substrate, faulted iff `plan` is non-empty, and
@@ -154,33 +176,17 @@ pub fn run_mot_outcome_observed(
     plan: Option<&FaultPlan>,
     observers: &mut [&mut dyn Observer<asynoc::MotNode>],
 ) -> Result<RunOutcome, asynoc::SimError> {
-    let mut log = DeliveryLog::new();
-    let mut ledger = FaultLedger::new();
-    let mut trace = TraceCollector::generic(TRACE_CAPACITY);
-    let mut extras = Extras(observers);
-    let mut extra: Vec<&mut dyn Observer<asynoc::MotNode>> =
-        vec![&mut log, &mut ledger, &mut trace, &mut extras];
-    let (report, summary) = match plan {
-        Some(plan) if !plan.entries.is_empty() => {
-            let mut armed = plan.arm();
-            let report = net.run_with_faults(run, &mut armed, &mut extra)?;
-            (report, armed.summary())
-        }
-        _ => (
-            net.run_with_observers(run, &mut extra)?,
-            FaultSummary::default(),
-        ),
-    };
-    let forest = SpanForest::build(trace.records());
-    Ok(distill(
-        log.into_deliveries(),
-        report.latency.mean().map(|d| d.as_ps()),
-        report.packets_incomplete,
-        ledger,
-        summary,
-        &forest,
-        report.profile,
-    ))
+    outcome(plan, observers, |faults, extra| {
+        let report = match faults {
+            Some(faults) => net.run_with_faults(run, faults, extra)?,
+            None => net.run_with_observers(run, extra)?,
+        };
+        Ok((
+            report.latency.mean(),
+            report.packets_incomplete,
+            report.profile,
+        ))
+    })
 }
 
 /// Runs the mesh substrate, faulted iff `plan` is non-empty, and
@@ -199,10 +205,8 @@ pub fn run_mesh_outcome(
     run_mesh_outcome_observed(net, benchmark, rate, phases, plan, &mut [])
 }
 
-/// [`run_mesh_outcome`] with caller-supplied observers (e.g. a
-/// streaming sink) registered after the oracle's own. Extra observers
-/// see the identical, ungated event stream and cannot perturb the
-/// outcome — streamed fault runs stay oracle-clean.
+/// [`run_mesh_outcome`] with caller-supplied observers registered after
+/// the oracle's own (see [`run_mot_outcome_observed`]).
 ///
 /// # Errors
 ///
@@ -215,33 +219,17 @@ pub fn run_mesh_outcome_observed(
     plan: Option<&FaultPlan>,
     observers: &mut [&mut dyn Observer<usize>],
 ) -> Result<RunOutcome, asynoc_mesh::MeshError> {
-    let mut log = DeliveryLog::new();
-    let mut ledger = FaultLedger::new();
-    let mut trace: TraceCollector<usize> = TraceCollector::generic(TRACE_CAPACITY);
-    let mut extras = Extras(observers);
-    let mut extra: Vec<&mut dyn Observer<usize>> =
-        vec![&mut log, &mut ledger, &mut trace, &mut extras];
-    let (report, summary) = match plan {
-        Some(plan) if !plan.entries.is_empty() => {
-            let mut armed = plan.arm();
-            let report = net.run_with_faults(benchmark, rate, phases, &mut armed, &mut extra)?;
-            (report, armed.summary())
-        }
-        _ => (
-            net.run_with_observers(benchmark, rate, phases, &mut extra)?,
-            FaultSummary::default(),
-        ),
-    };
-    let forest = SpanForest::build(trace.records());
-    Ok(distill(
-        log.into_deliveries(),
-        report.latency.mean().map(|d| d.as_ps()),
-        report.packets_incomplete,
-        ledger,
-        summary,
-        &forest,
-        report.profile,
-    ))
+    outcome(plan, observers, |faults, extra| {
+        let report = match faults {
+            Some(faults) => net.run_with_faults(benchmark, rate, phases, faults, extra)?,
+            None => net.run_with_observers(benchmark, rate, phases, extra)?,
+        };
+        Ok((
+            report.latency.mean(),
+            report.packets_incomplete,
+            report.profile,
+        ))
+    })
 }
 
 /// Runs the VC mesh substrate, faulted iff `plan` is non-empty, and
@@ -260,10 +248,8 @@ pub fn run_vcmesh_outcome(
     run_vcmesh_outcome_observed(net, benchmark, rate, phases, plan, &mut [])
 }
 
-/// [`run_vcmesh_outcome`] with caller-supplied observers (e.g. a
-/// streaming sink) registered after the oracle's own. Extra observers
-/// see the identical, ungated event stream and cannot perturb the
-/// outcome — streamed fault runs stay oracle-clean.
+/// [`run_vcmesh_outcome`] with caller-supplied observers registered
+/// after the oracle's own (see [`run_mot_outcome_observed`]).
 ///
 /// # Errors
 ///
@@ -276,33 +262,17 @@ pub fn run_vcmesh_outcome_observed(
     plan: Option<&FaultPlan>,
     observers: &mut [&mut dyn Observer<usize>],
 ) -> Result<RunOutcome, asynoc_mesh::MeshError> {
-    let mut log = DeliveryLog::new();
-    let mut ledger = FaultLedger::new();
-    let mut trace: TraceCollector<usize> = TraceCollector::generic(TRACE_CAPACITY);
-    let mut extras = Extras(observers);
-    let mut extra: Vec<&mut dyn Observer<usize>> =
-        vec![&mut log, &mut ledger, &mut trace, &mut extras];
-    let (report, summary) = match plan {
-        Some(plan) if !plan.entries.is_empty() => {
-            let mut armed = plan.arm();
-            let report = net.run_with_faults(benchmark, rate, phases, &mut armed, &mut extra)?;
-            (report, armed.summary())
-        }
-        _ => (
-            net.run_with_observers(benchmark, rate, phases, &mut extra)?,
-            FaultSummary::default(),
-        ),
-    };
-    let forest = SpanForest::build(trace.records());
-    Ok(distill(
-        log.into_deliveries(),
-        report.latency.mean().map(|d| d.as_ps()),
-        report.packets_incomplete,
-        ledger,
-        summary,
-        &forest,
-        report.profile,
-    ))
+    outcome(plan, observers, |faults, extra| {
+        let report = match faults {
+            Some(faults) => net.run_with_faults(benchmark, rate, phases, faults, extra)?,
+            None => net.run_with_observers(benchmark, rate, phases, extra)?,
+        };
+        Ok((
+            report.latency.mean(),
+            report.packets_incomplete,
+            report.profile,
+        ))
+    })
 }
 
 /// Convenience constructor for the standard differential VC mesh

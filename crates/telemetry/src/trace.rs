@@ -1,10 +1,9 @@
 //! Substrate-neutral trace records with NDJSON import/export.
 //!
 //! A [`TraceRecord`] is the flat, serializable form of one flit action.
-//! Both substrates produce them — the MoT's `TraceEvent` converts into
-//! one, and the generic [`TraceCollector`] observer builds them straight
-//! off the engine event stream — so one parser round-trips traces from
-//! either simulator.
+//! Every substrate produces them the same way — the generic
+//! [`TraceCollector`] observer builds them straight off the engine event
+//! stream — so one parser round-trips traces from any simulator.
 //!
 //! Beyond the original identity fields (time, packet, flit, site, action),
 //! a record carries the causal context offline analysis needs: the

@@ -19,7 +19,9 @@
 #
 # The gate is a superset of ROADMAP.md's tier-1 verify
 # (`cargo build --release && cargo test -q`), adding the lint and
-# formatting checks this repository holds itself to, smoke runs of the
+# formatting checks this repository holds itself to, the perfbench
+# workspace's own tests (so library or CLI drift that would break the
+# end-to-end benchmark fails the gate), smoke runs of the
 # guarded benches (the zero-observer fast path, the analysis pipeline,
 # the disarmed fault hooks, the calendar-vs-heap scheduler hold
 # model, the serial halves of the sharded-engine bench, and the
@@ -114,6 +116,12 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The end-to-end benchmark is its own workspace; its tests replay every
+# workload through the CLI and the library APIs, so API drift that would
+# break the benchmark fails here.
+echo "==> perfbench tests"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 if [[ "$fast" -eq 0 ]]; then
     run_benches
 
@@ -174,11 +182,11 @@ if [[ "$fast" -eq 0 ]]; then
     done
 
     echo "==> sharded vs serial differential (mesh, 8x8): --shards 1/2/4 must agree byte-for-byte"
-    cargo run -q --release -p asynoc-cli -- mesh --benchmark Uniform-random \
-        --rate 0.1 --cols 8 --rows 8 --shards 1 >"$tmpdir/mesh-serial.txt"
+    cargo run -q --release -p asynoc-cli -- run --substrate mesh --benchmark Uniform-random \
+        --rate 0.1 --size 8 --shards 1 >"$tmpdir/mesh-serial.txt"
     for s in 2 4; do
-        cargo run -q --release -p asynoc-cli -- mesh --benchmark Uniform-random \
-            --rate 0.1 --cols 8 --rows 8 --shards "$s" >"$tmpdir/mesh-sharded.txt"
+        cargo run -q --release -p asynoc-cli -- run --substrate mesh --benchmark Uniform-random \
+            --rate 0.1 --size 8 --shards "$s" >"$tmpdir/mesh-sharded.txt"
         diff "$tmpdir/mesh-serial.txt" "$tmpdir/mesh-sharded.txt" || {
             echo "8x8 mesh report diverged at --shards $s"
             exit 1
@@ -220,8 +228,8 @@ if [[ "$fast" -eq 0 ]]; then
     }
 
     echo "==> profiled sharded round-trip (mesh): --profile writes the document, stdout unmoved"
-    cargo run -q --release -p asynoc-cli -- mesh --benchmark Uniform-random \
-        --rate 0.1 --cols 8 --rows 8 --shards 2 \
+    cargo run -q --release -p asynoc-cli -- run --substrate mesh --benchmark Uniform-random \
+        --rate 0.1 --size 8 --shards 2 \
         --profile "$tmpdir/mesh-profile.json" >"$tmpdir/mesh-profiled.txt"
     diff "$tmpdir/mesh-serial.txt" "$tmpdir/mesh-profiled.txt" || {
         echo "--profile changed the 8x8 mesh report"
